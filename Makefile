@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race test-short bench bench-figure4 bench-ops bench-synth bench-serve bench-rot bench-scale bench-mux smoke-serve smoke-wire smoke-registry alloc-canary
+.PHONY: all build vet test test-race test-short test-benchmark bench bench-figure4 bench-ops bench-synth bench-serve bench-rot bench-scale bench-mux smoke-serve smoke-wire smoke-registry alloc-canary
 
 all: vet build test-short
 
@@ -17,12 +17,19 @@ test-short:
 	$(GO) test -short ./...
 
 # Race detector over the concurrent pieces: the work-stealing search,
-# the batch scheduler, the synthesis cache, the serving runtime
-# (concurrent sessions over one context), the batched request
-# scheduler, and wire decode/load. Mirrors the CI job; drop -short for
-# the full sweep when touching the search.
+# the batch scheduler, the synthesis cache, the client crypto shared by
+# every keyholder goroutine (sampler, encryptor, decryptor, encoder
+# pools), the serving runtime (concurrent sessions over one context),
+# the batched request scheduler, and wire decode/load. Mirrors the CI
+# job; drop -short for the full sweep when touching the search.
 test-race:
-	$(GO) test -race -short -timeout 10m ./internal/ring/... ./internal/synth/... ./internal/quill/... ./internal/backend/... ./internal/serve/... ./internal/wire/...
+	$(GO) test -race -short -timeout 10m ./internal/ring/... ./internal/bfv/... ./internal/synth/... ./internal/quill/... ./internal/plan/... ./internal/backend/... ./internal/serve/... ./internal/wire/...
+
+# The benchmark is a module of its own (benchmark/go.mod), which the
+# root `go test ./...` never builds: vet it and run its smoke test so
+# it cannot rot against internal/ API changes. Mirrors the CI job.
+test-benchmark:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # benchstat-friendly: 5 repetitions of every paper benchmark. Pipe two
 # runs through benchstat to compare changes:
@@ -123,7 +130,9 @@ bench-mux:
 # batched-rotation path, the double-hoisted shared-rotation path,
 # the multi-core engine (worker pool +
 # levelized steps), and the slot-multiplexed batch path — must report
-# 0 allocs/op.
+# 0 allocs/op; the keyholder's EncryptVec and DecryptVec (both presets)
+# must stay within 8 allocs/op — the returned ciphertext or vector,
+# nothing per coefficient.
 alloc-canary:
 	$(GO) test -run '^$$' -bench '^(BenchmarkPlanRun|BenchmarkHoistedPlanRun|BenchmarkDomainAssignedPlanRun|BenchmarkTreeBatchedPlanRun|BenchmarkSharedRotPlanRun|BenchmarkParallelPlanRun|BenchmarkMuxedPlanRun)$$' -benchtime 1x -benchmem . | tee /tmp/porcupine-canary.out
 	grep -E 'BenchmarkPlanRun.* 0 B/op.* 0 allocs/op' /tmp/porcupine-canary.out
@@ -133,3 +142,5 @@ alloc-canary:
 	grep -E 'BenchmarkSharedRotPlanRun.* 0 B/op.* 0 allocs/op' /tmp/porcupine-canary.out
 	grep -E 'BenchmarkParallelPlanRun.* 0 B/op.* 0 allocs/op' /tmp/porcupine-canary.out
 	grep -E 'BenchmarkMuxedPlanRun.* 0 B/op.* 0 allocs/op' /tmp/porcupine-canary.out
+	$(GO) test -run '^$$' -bench '^(BenchmarkEncryptVec|BenchmarkDecryptVec)$$' -benchtime 1x -benchmem . | tee /tmp/porcupine-canary-client.out
+	awk '/^Benchmark(Encrypt|Decrypt)Vec\// { n++; if ($$(NF-1) > 8) bad = 1 } END { exit bad || n != 4 }' /tmp/porcupine-canary-client.out

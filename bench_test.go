@@ -832,3 +832,102 @@ func BenchmarkParallelPlanRun(b *testing.B) {
 		}
 	}
 }
+
+// clientCryptoContext is the keyholder's context for the client-crypto
+// benchmarks: deterministic keys for a one-rotation program (the keys
+// are irrelevant to encrypt/decrypt cost; one Galois key keeps set-up
+// short), secure encryption randomness as in production.
+func clientCryptoContext(b *testing.B, preset string) (*backend.Context, quill.Vec) {
+	b.Helper()
+	ctx, err := backend.NewTestContext(preset, 7, []int{1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := make(quill.Vec, 64)
+	for j := range v {
+		v[j] = uint64(j*j + 1)
+	}
+	return ctx, v
+}
+
+var clientCryptoPresets = []string{"PN4096", "PN8192"}
+
+// BenchmarkEncryptVec is the allocation canary and the timing record
+// of the keyholder's send path (encode + encrypt). CI runs it with
+// -benchtime=1x -benchmem against a fixed budget of 8 allocs/op: the
+// returned ciphertext (polynomials from the ring pool), never anything
+// per coefficient.
+func BenchmarkEncryptVec(b *testing.B) {
+	for _, preset := range clientCryptoPresets {
+		b.Run(preset, func(b *testing.B) {
+			ctx, v := clientCryptoContext(b, preset)
+			// The ciphertext is recycled, as a client does once the
+			// request is encoded, so the ring pool reaches steady state.
+			encrypt := func() {
+				ct, err := ctx.EncryptVec(v)
+				if err != nil {
+					b.Fatal(err)
+				}
+				ctx.Params.RecycleCiphertext(ct)
+			}
+			// Warm-up fills the ring, plaintext and sampler pools. See
+			// BenchmarkPlanRun: drain-then-refill them so a pending GC
+			// cannot fire inside the single measured sample.
+			encrypt()
+			runtime.GC()
+			encrypt()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				encrypt()
+			}
+		})
+	}
+}
+
+// BenchmarkDecryptVec is the same canary for the receive path
+// (decrypt + decode of the requested slots): budget 8 allocs/op, the
+// returned vector only.
+func BenchmarkDecryptVec(b *testing.B) {
+	for _, preset := range clientCryptoPresets {
+		b.Run(preset, func(b *testing.B) {
+			ctx, v := clientCryptoContext(b, preset)
+			ct, err := ctx.EncryptVec(v)
+			if err != nil {
+				b.Fatal(err)
+			}
+			ctx.DecryptVec(ct, len(v))
+			runtime.GC()
+			ctx.DecryptVec(ct, len(v))
+			b.ReportAllocs()
+			b.ResetTimer()
+			var got quill.Vec
+			for i := 0; i < b.N; i++ {
+				got = ctx.DecryptVec(ct, len(v))
+			}
+			b.StopTimer()
+			for j := range v {
+				if got[j] != v[j] {
+					b.Fatalf("slot %d: got %d, want %d", j, got[j], v[j])
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkKeyGen times a keyholder's full key generation (secret,
+// public, relinearization and eight Galois keys) — the backend.keygen_s
+// share of every workload's set-up.
+func BenchmarkKeyGen(b *testing.B) {
+	rots := []int{1, 2, 3, 4, -1, -2, -3, -4}
+	for _, preset := range clientCryptoPresets {
+		b.Run(preset, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := backend.NewTestContext(preset, 7, rots); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -285,8 +285,9 @@ func (c *Context) EncryptVec(v quill.Vec) (*bfv.Ciphertext, error) {
 	if len(v) > c.Params.SlotCount() {
 		return nil, fmt.Errorf("backend: vector of %d slots exceeds row size %d", len(v), c.Params.SlotCount())
 	}
-	pt, err := c.Encoder.EncodeNew(v)
-	if err != nil {
+	pt := c.Params.GetPlaintext()
+	defer c.Params.PutPlaintext(pt)
+	if err := c.Encoder.Encode(v, pt); err != nil {
 		return nil, err
 	}
 	return c.Enc.Encrypt(pt)
@@ -294,13 +295,24 @@ func (c *Context) EncryptVec(v quill.Vec) (*bfv.Ciphertext, error) {
 
 // DecryptVec decrypts and returns the first vecLen slots. It panics on
 // a sealed context (guard with CanDecrypt): decryption requires the
-// secret key, which never crosses the wire.
+// secret key, which never crosses the wire. It also panics when vecLen
+// is outside the row, a caller bug. The returned vector is the only
+// allocation.
 func (c *Context) DecryptVec(ct *bfv.Ciphertext, vecLen int) quill.Vec {
 	if c.Dec == nil {
 		panic("backend: DecryptVec on a sealed context (no secret key); check CanDecrypt")
 	}
-	full := c.Encoder.Decode(c.Dec.Decrypt(ct))
-	return quill.Vec(full[:vecLen])
+	if vecLen < 0 || vecLen > c.Params.SlotCount() {
+		panic(fmt.Sprintf("backend: DecryptVec of %d slots outside row size %d", vecLen, c.Params.SlotCount()))
+	}
+	pt := c.Params.GetPlaintext()
+	defer c.Params.PutPlaintext(pt)
+	c.Dec.DecryptInto(pt, ct)
+	out := make(quill.Vec, vecLen)
+	if err := c.Encoder.DecodeInto(out, pt); err != nil {
+		panic(err) // unreachable: vecLen ≤ SlotCount was checked above
+	}
+	return out
 }
 
 // NoiseBudget reports the remaining invariant noise budget of ct in

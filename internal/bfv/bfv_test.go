@@ -22,7 +22,14 @@ type testContext struct {
 
 func newTestContext(t testing.TB, steps []int) *testContext {
 	t.Helper()
-	params, err := NewParametersFromPreset("PN2048")
+	return presetContext(t, "PN2048", steps)
+}
+
+// presetContext builds a deterministic key set and the keyholder's
+// tools for a named preset.
+func presetContext(t testing.TB, preset string, steps []int) *testContext {
+	t.Helper()
+	params, err := NewParametersFromPreset(preset)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -115,14 +115,35 @@ func (e *Encoder) DecodeLane(pt *Plaintext, lane, stride, n int) ([]uint64, erro
 	if lane < 0 || stride <= 0 || n < 0 || base+n > rowSize {
 		return nil, fmt.Errorf("bfv: lane window [%d, %d) outside row of %d slots", base, base+n, rowSize)
 	}
-	buf := make([]uint64, e.params.N)
+	out := make([]uint64, n)
+	e.decodeSlots(out, pt, base)
+	return out, nil
+}
+
+// decodeSlots writes slots [base, base+len(dst)) of pt into dst (slot
+// indices run over row 0, then row 1). The evaluation-domain image of
+// pt lives in pooled scratch, so decoding allocates nothing and costs
+// one N-point NTT whatever the number of slots asked for.
+func (e *Encoder) decodeSlots(dst []uint64, pt *Plaintext, base int) {
+	scratch := e.params.GetPlaintext()
+	buf := scratch.Coeffs
 	copy(buf, pt.Coeffs)
 	e.ptRing.NTTRow(0, buf)
-	out := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		out[i] = buf[e.indexMap[base+i]]
+	for i := range dst {
+		dst[i] = buf[e.indexMap[base+i]]
 	}
-	return out, nil
+	e.params.PutPlaintext(scratch)
+}
+
+// DecodeInto unpacks the first len(dst) ≤ SlotCount slots of row 0 of
+// pt into dst: Decode of only the slots asked for, into the caller's
+// buffer. pt is not modified.
+func (e *Encoder) DecodeInto(dst []uint64, pt *Plaintext) error {
+	if len(dst) > e.SlotCount() {
+		return fmt.Errorf("bfv: %d slots requested from a row of %d", len(dst), e.SlotCount())
+	}
+	e.decodeSlots(dst, pt, 0)
+	return nil
 }
 
 // EncodeInt packs signed values, reducing them into [0, t).
@@ -150,15 +171,8 @@ func (e *Encoder) EncodeNew(values []uint64) (*Plaintext, error) {
 
 // Decode unpacks the first SlotCount slots (row 0) of pt.
 func (e *Encoder) Decode(pt *Plaintext) []uint64 {
-	n := e.params.N
-	buf := make([]uint64, n)
-	copy(buf, pt.Coeffs)
-	e.ptRing.NTTRow(0, buf)
-	rowSize := n / 2
-	out := make([]uint64, rowSize)
-	for i := 0; i < rowSize; i++ {
-		out[i] = buf[e.indexMap[i]]
-	}
+	out := make([]uint64, e.params.N/2)
+	e.decodeSlots(out, pt, 0)
 	return out
 }
 
@@ -181,13 +195,7 @@ func (e *Encoder) DecodeInt(pt *Plaintext) []int64 {
 
 // DecodeFull unpacks both batching rows (N slots).
 func (e *Encoder) DecodeFull(pt *Plaintext) []uint64 {
-	n := e.params.N
-	buf := make([]uint64, n)
-	copy(buf, pt.Coeffs)
-	e.ptRing.NTTRow(0, buf)
-	out := make([]uint64, n)
-	for i := 0; i < n; i++ {
-		out[i] = buf[e.indexMap[i]]
-	}
+	out := make([]uint64, e.params.N)
+	e.decodeSlots(out, pt, 0)
 	return out
 }

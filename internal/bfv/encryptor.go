@@ -1,14 +1,14 @@
 package bfv
 
 import (
-	"math"
-	"math/big"
-
 	"porcupine/internal/mathutil"
 	"porcupine/internal/ring"
 )
 
-// Encryptor encrypts plaintexts under a public key.
+// Encryptor encrypts plaintexts under a public key. It holds no
+// per-call state (scratch comes from the ring pool, randomness from a
+// concurrency-safe sampler), so one Encryptor serves any number of
+// goroutines.
 type Encryptor struct {
 	params  *Parameters
 	pk      *PublicKey
@@ -26,14 +26,13 @@ func NewTestEncryptor(params *Parameters, pk *PublicKey, seed int64) *Encryptor 
 }
 
 // deltaTimesPlaintext writes Δ·m (lifted to R_Q) into dst. The
-// multiplicand Δ mod p_i is fixed per prime, so a Shoup constant
-// (which accepts an arbitrary 64-bit cofactor) replaces the
+// multiplicand Δ mod p_i is fixed per prime, so a precomputed Shoup
+// constant (which accepts an arbitrary 64-bit cofactor) replaces the
 // division-based MulMod.
 func deltaTimesPlaintext(params *Parameters, dst *ring.Poly, pt *Plaintext) {
 	r := params.ringQ
 	for i, p := range r.Primes {
-		d := params.deltaQi[i]
-		dS := mathutil.ShoupPrecomp(d, p)
+		d, dS := params.deltaQi[i], params.deltaQS[i]
 		di := dst.Coeffs[i]
 		for j, m := range pt.Coeffs {
 			di[j] = mathutil.ShoupMul(m, d, dS, p)
@@ -42,42 +41,39 @@ func deltaTimesPlaintext(params *Parameters, dst *ring.Poly, pt *Plaintext) {
 }
 
 // Encrypt encrypts pt into a fresh degree-1 ciphertext:
-// (c0, c1) = (p0·u + e0 + Δ·m, p1·u + e1).
+// (c0, c1) = (p0·u + e0 + Δ·m, p1·u + e1). The cost is three draws of
+// the sampler, one forward and two inverse NTTs; the only allocation
+// is the returned ciphertext.
 func (enc *Encryptor) Encrypt(pt *Plaintext) (*Ciphertext, error) {
 	r := enc.params.ringQ
-	u := r.GetPolyNoZero()
-	defer r.PutPoly(u)
-	if err := enc.sampler.Ternary(u); err != nil {
+	// tmp holds u, then e0, then e1, then Δ·m.
+	tmp := r.GetPolyNoZero()
+	defer r.PutPoly(tmp)
+	if err := enc.sampler.Ternary(tmp); err != nil {
 		return nil, err
 	}
-	e0 := r.GetPolyNoZero()
-	defer r.PutPoly(e0)
-	if err := enc.sampler.Error(e0); err != nil {
-		return nil, err
-	}
-	e1 := r.GetPolyNoZero()
-	defer r.PutPoly(e1)
-	if err := enc.sampler.Error(e1); err != nil {
-		return nil, err
-	}
-	r.NTT(u)
-	c0 := r.GetPolyNoZero()
-	c1 := r.GetPolyNoZero()
-	r.MulCoeffs(c0, enc.pk.P0Ntt, u)
-	r.MulCoeffs(c1, enc.pk.P1Ntt, u)
+	r.NTT(tmp)
+	ct := enc.params.NewCiphertextUninit(1)
+	c0, c1 := ct.Value[0], ct.Value[1]
+	r.MulCoeffs(c0, enc.pk.P0Ntt, tmp)
+	r.MulCoeffs(c1, enc.pk.P1Ntt, tmp)
 	r.INTT(c0)
 	r.INTT(c1)
-	r.Add(c0, c0, e0)
-	r.Add(c1, c1, e1)
-	dm := r.GetPolyNoZero()
-	defer r.PutPoly(dm)
-	deltaTimesPlaintext(enc.params, dm, pt)
-	r.Add(c0, c0, dm)
-	return &Ciphertext{Value: []*ring.Poly{c0, c1}}, nil
+	for _, c := range ct.Value {
+		if err := enc.sampler.Error(tmp); err != nil {
+			enc.params.RecycleCiphertext(ct)
+			return nil, err
+		}
+		r.Add(c, c, tmp)
+	}
+	deltaTimesPlaintext(enc.params, tmp, pt)
+	r.Add(c0, c0, tmp)
+	return ct, nil
 }
 
 // Decryptor decrypts ciphertexts with the secret key and measures
-// their remaining noise budget.
+// their remaining noise budget. Like Encryptor it is stateless and
+// safe for concurrent use.
 type Decryptor struct {
 	params *Parameters
 	sk     *SecretKey
@@ -88,96 +84,49 @@ func NewDecryptor(params *Parameters, sk *SecretKey) *Decryptor {
 	return &Decryptor{params: params, sk: sk}
 }
 
-// phase computes c0 + c1·s + c2·s² + ... in the coefficient domain.
+// phase computes c0 + c1·s + c2·s² + ... in the coefficient domain,
+// into a polynomial of the ring pool the caller must PutPoly. The
+// powers of s are applied by Horner's rule in the NTT domain: one
+// forward NTT per c_d (d ≥ 1) and one inverse NTT in all.
 func (dec *Decryptor) phase(ct *Ciphertext) *ring.Poly {
 	r := dec.params.ringQ
-	acc := r.Copy(ct.Value[0])
-	if len(ct.Value) == 1 {
+	acc := r.GetPolyNoZero()
+	top := len(ct.Value) - 1
+	r.CopyInto(acc, ct.Value[top])
+	if top == 0 {
 		return acc
 	}
-	sPow := r.Copy(dec.sk.SNtt)
-	tmp := r.NewPoly()
-	for d := 1; d < len(ct.Value); d++ {
-		r.CopyInto(tmp, ct.Value[d])
-		r.NTT(tmp)
-		r.MulCoeffs(tmp, tmp, sPow)
-		r.INTT(tmp)
-		r.Add(acc, acc, tmp)
-		if d+1 < len(ct.Value) {
-			r.MulCoeffs(sPow, sPow, dec.sk.SNtt)
+	r.NTT(acc)
+	if top > 1 {
+		tmp := r.GetPolyNoZero()
+		for d := top - 1; d >= 1; d-- {
+			r.MulCoeffs(acc, acc, dec.sk.SNtt)
+			r.CopyInto(tmp, ct.Value[d])
+			r.NTT(tmp)
+			r.Add(acc, acc, tmp)
 		}
+		r.PutPoly(tmp)
 	}
+	r.MulCoeffs(acc, acc, dec.sk.SNtt)
+	r.INTT(acc)
+	r.Add(acc, acc, ct.Value[0])
 	return acc
 }
 
 // Decrypt recovers the plaintext: m_j = round(t·v_j / Q) mod t where
 // v = c0 + c1·s (+ higher powers for unrelinearized ciphertexts).
 func (dec *Decryptor) Decrypt(ct *Ciphertext) *Plaintext {
-	r := dec.params.ringQ
-	v := dec.phase(ct)
 	pt := dec.params.NewPlaintext()
-	t := new(big.Int).SetUint64(dec.params.T)
-	q := dec.params.q
-	halfQ := new(big.Int).Rsh(q, 1)
-	var x, num big.Int
-	for j := 0; j < dec.params.N; j++ {
-		r.CoeffBigCentered(&x, v, j)
-		// round(t·x/Q) with round-half-up for positive, symmetric for
-		// negative (rounding direction at exact .5 is irrelevant since
-		// noise < Δ/2 guarantees a unique nearest integer).
-		num.Mul(t, &x)
-		if num.Sign() >= 0 {
-			num.Add(&num, halfQ)
-		} else {
-			num.Sub(&num, halfQ)
-		}
-		num.Quo(&num, q)
-		num.Mod(&num, t)
-		pt.Coeffs[j] = num.Uint64()
-	}
+	dec.DecryptInto(pt, ct)
 	return pt
 }
 
-// NoiseBudget returns the invariant noise budget of ct in bits:
-// log2(Q / (2·max_j |t·v_j mod Q|_centered)). Decryption is correct
-// while the budget is positive. Returns 0 when the budget is
-// exhausted.
-func (dec *Decryptor) NoiseBudget(ct *Ciphertext) float64 {
-	r := dec.params.ringQ
+// DecryptInto is Decrypt into a caller-supplied plaintext (every
+// coefficient is overwritten). The rounding is exact word arithmetic
+// over the RNS residues (ring.BasisExtender.RoundToPlaintext); with
+// the phase in pooled scratch, a call allocates nothing.
+func (dec *Decryptor) DecryptInto(pt *Plaintext, ct *Ciphertext) {
 	v := dec.phase(ct)
-	t := new(big.Int).SetUint64(dec.params.T)
-	q := dec.params.q
-	halfQ := new(big.Int).Rsh(q, 1)
-	var x, num, rem big.Int
-	maxNorm := new(big.Int)
-	for j := 0; j < dec.params.N; j++ {
-		r.CoeffBigCentered(&x, v, j)
-		num.Mul(t, &x)
-		// Centered remainder of t·x modulo Q.
-		rem.Mod(&num, q)
-		if rem.Cmp(halfQ) > 0 {
-			rem.Sub(&rem, q)
-		}
-		rem.Abs(&rem)
-		if rem.Cmp(maxNorm) > 0 {
-			maxNorm.Set(&rem)
-		}
-	}
-	if maxNorm.Sign() == 0 {
-		maxNorm.SetInt64(1)
-	}
-	budget := bigLog2(q) - bigLog2(maxNorm) - 1
-	if budget < 0 {
-		return 0
-	}
-	return budget
-}
-
-// bigLog2 returns log2(x) for positive x.
-func bigLog2(x *big.Int) float64 {
-	f := new(big.Float).SetInt(x)
-	mant := new(big.Float)
-	exp := f.MantExp(mant)
-	m, _ := mant.Float64()
-	return float64(exp) + math.Log2(m)
+	dec.params.extender.RoundToPlaintext(pt.Coeffs, v)
+	dec.params.ringQ.PutPoly(v)
 }

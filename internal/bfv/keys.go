@@ -2,7 +2,6 @@ package bfv
 
 import (
 	"fmt"
-	"math/big"
 
 	"porcupine/internal/mathutil"
 	"porcupine/internal/ring"
@@ -89,24 +88,33 @@ func (kg *KeyGenerator) GenSecretKey() (*SecretKey, error) {
 	return &SecretKey{S: s, SNtt: sNtt}, nil
 }
 
+// lweSample returns a fresh NTT-domain pair (b, a) = (-(a·s + e), a).
+// a is sampled directly in the NTT domain — the transform is a
+// bijection of R_Q, so a uniform evaluation vector is a uniform
+// polynomial — which leaves the error as the only forward NTT.
+func (kg *KeyGenerator) lweSample(sk *SecretKey) (b, a *ring.Poly, err error) {
+	r := kg.params.ringQ
+	a = r.NewPoly()
+	if err := kg.sampler.Uniform(a); err != nil {
+		return nil, nil, err
+	}
+	b = r.NewPoly()
+	if err := kg.sampler.Error(b); err != nil {
+		return nil, nil, err
+	}
+	r.NTT(b)
+	r.MulCoeffsAndAdd(b, a, sk.SNtt)
+	r.Neg(b, b)
+	return b, a, nil
+}
+
 // GenPublicKey derives a public key from sk.
 func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) (*PublicKey, error) {
-	r := kg.params.ringQ
-	a := r.NewPoly()
-	if err := kg.sampler.Uniform(a); err != nil {
+	p0, p1, err := kg.lweSample(sk)
+	if err != nil {
 		return nil, err
 	}
-	e := r.NewPoly()
-	if err := kg.sampler.Error(e); err != nil {
-		return nil, err
-	}
-	r.NTT(a)
-	r.NTT(e)
-	p0 := r.NewPoly()
-	r.MulCoeffs(p0, a, sk.SNtt)
-	r.Add(p0, p0, e)
-	r.Neg(p0, p0)
-	return &PublicKey{P0Ntt: p0, P1Ntt: a}, nil
+	return &PublicKey{P0Ntt: p0, P1Ntt: p1}, nil
 }
 
 // genSwitchingKey builds a key switching sPrimeNtt (NTT domain) to sk.
@@ -114,36 +122,18 @@ func (kg *KeyGenerator) genSwitchingKey(sk *SecretKey, sPrimeNtt *ring.Poly) (*s
 	r := kg.params.ringQ
 	k := len(r.Primes)
 	swk := &switchingKey{B: make([]*ring.Poly, k), A: make([]*ring.Poly, k)}
-	e := r.GetPolyNoZero()
-	piScaled := r.GetPolyNoZero()
-	defer r.PutPoly(e)
-	defer r.PutPoly(piScaled)
-	var qi, inv big.Int
 	for i, p := range r.Primes {
-		a := r.NewPoly()
-		if err := kg.sampler.Uniform(a); err != nil {
-			return nil, err
-		}
-		if err := kg.sampler.Error(e); err != nil {
-			return nil, err
-		}
-		r.NTT(a)
-		r.NTT(e)
-		b := r.NewPoly()
-		r.MulCoeffs(b, a, sk.SNtt)
-		r.Add(b, b, e)
-		r.Neg(b, b)
-		// P_i = (Q/p_i) · [(Q/p_i)^{-1} mod p_i]  (mod Q).
-		qi.Div(kg.params.q, new(big.Int).SetUint64(p))
-		r0 := new(big.Int).Mod(&qi, new(big.Int).SetUint64(p)).Uint64()
-		invU, err := mathutil.InvMod(r0, p)
+		b, a, err := kg.lweSample(sk)
 		if err != nil {
 			return nil, err
 		}
-		inv.SetUint64(invU)
-		pi := new(big.Int).Mul(&qi, &inv)
-		r.MulScalarBig(piScaled, sPrimeNtt, pi)
-		r.Add(b, b, piScaled)
+		// b += P_i·s'. The CRT projector P_i = (Q/p_i)·[(Q/p_i)⁻¹]_{p_i}
+		// is 1 mod p_i and 0 mod every other prime, so in RNS form the
+		// product is row i of s' and nothing else.
+		bi, si := b.Coeffs[i], sPrimeNtt.Coeffs[i]
+		for j := range bi {
+			bi[j] = mathutil.AddMod(bi[j], si[j], p)
+		}
 		swk.B[i], swk.A[i] = b, a
 	}
 	return swk, nil

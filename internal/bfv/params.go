@@ -17,6 +17,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math/big"
+	"sync"
 
 	"porcupine/internal/mathutil"
 	"porcupine/internal/ring"
@@ -42,6 +43,10 @@ type Parameters struct {
 	q       *big.Int // Q = ∏ QPrimes
 	delta   *big.Int // Δ = floor(Q/t)
 	deltaQi []uint64 // Δ mod p_i
+	deltaQS []uint64 // Shoup companions of deltaQi
+
+	// ptPool recycles plaintext scratch (see GetPlaintext).
+	ptPool sync.Pool
 
 	secure bool // true when the preset meets the 128-bit HE standard
 	name   string
@@ -109,11 +114,13 @@ func newParameters(n int, qPrimes []uint64) (*Parameters, error) {
 	p.q = new(big.Int).Set(p.ringQ.Modulus())
 	p.delta = new(big.Int).Div(p.q, new(big.Int).SetUint64(p.T))
 	p.deltaQi = make([]uint64, len(qPrimes))
+	p.deltaQS = make([]uint64, len(qPrimes))
 	var tmp, pb big.Int
 	for i, pr := range qPrimes {
 		pb.SetUint64(pr)
 		tmp.Mod(p.delta, &pb)
 		p.deltaQi[i] = tmp.Uint64()
+		p.deltaQS[i] = mathutil.ShoupPrecomp(p.deltaQi[i], pr)
 	}
 
 	// Extended basis for exact tensor products: Q primes plus auxiliary
@@ -249,6 +256,27 @@ type Plaintext struct {
 // NewPlaintext allocates a zero plaintext for the parameter set.
 func (p *Parameters) NewPlaintext() *Plaintext {
 	return &Plaintext{Coeffs: make([]uint64, p.N)}
+}
+
+// GetPlaintext returns a plaintext from the parameter set's scratch
+// pool, allocating one if the pool is empty. Its coefficients are
+// stale: use it only as the destination of an operation that writes
+// every coefficient (Encoder.Encode, Decryptor.DecryptInto). Return
+// it with PutPlaintext.
+func (p *Parameters) GetPlaintext() *Plaintext {
+	if v := p.ptPool.Get(); v != nil {
+		return v.(*Plaintext)
+	}
+	return p.NewPlaintext()
+}
+
+// PutPlaintext returns a plaintext of this parameter set to the
+// scratch pool. The caller must not use pt afterwards.
+func (p *Parameters) PutPlaintext(pt *Plaintext) {
+	if pt == nil || len(pt.Coeffs) != p.N {
+		return // not one of ours; let the GC have it
+	}
+	p.ptPool.Put(pt)
 }
 
 // Ciphertext is a BFV ciphertext: a vector of polynomials in R_Q.

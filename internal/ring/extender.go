@@ -58,6 +58,12 @@ type BasisExtender struct {
 	vMod  [][]uint64
 	vModS [][]uint64
 
+	// Plaintext-rounding tables (RoundToPlaintext), per Q prime i:
+	// tModQ[i] = t mod q_i and plainW[i] = −Q⁻¹·W_i mod t, with Shoup
+	// companions.
+	tModQ, tModQS   []uint64
+	plainW, plainWS []uint64
+
 	auxBars []mathutil.Barrett // Barrett constants of the aux primes
 	qBars   []mathutil.Barrett // Barrett constants of the Q primes
 	divs    []mathutil.Divider // reciprocal dividers per ext prime
@@ -144,6 +150,27 @@ func NewBasisExtender(rQ, rExt *Ring, t uint64) (*BasisExtender, error) {
 		}
 		pb.SetUint64(p)
 		be.qModAux[a] = tmp.Mod(q, &pb).Uint64()
+	}
+
+	// Plaintext-rounding tables. Q is a unit mod t exactly when t
+	// shares no factor with the basis, which BFV requires anyway.
+	tb := new(big.Int).SetUint64(t)
+	negQInv := new(big.Int).ModInverse(q, tb)
+	if negQInv == nil {
+		return nil, fmt.Errorf("ring: plaintext modulus %d is not coprime to the base modulus", t)
+	}
+	negQInv.Sub(tb, negQInv)
+	be.tModQ = make([]uint64, k)
+	be.tModQS = make([]uint64, k)
+	be.plainW = make([]uint64, k)
+	be.plainWS = make([]uint64, k)
+	w := big.NewInt(1) // W_i = q_0···q_{i-1}
+	for i, p := range rQ.Primes {
+		be.tModQ[i] = t % p
+		be.tModQS[i] = mathutil.ShoupPrecomp(be.tModQ[i], p)
+		be.plainW[i] = tmp.Mod(tmp.Mul(w, negQInv), tb).Uint64()
+		be.plainWS[i] = mathutil.ShoupPrecomp(be.plainW[i], t)
+		w.Mul(w, pb.SetUint64(p))
 	}
 
 	// Scale-down tables: V_i = ∏_{l=k}^{k+i-1} p_l mod q_j.
@@ -312,6 +339,46 @@ func (be *BasisExtender) scaleDownChunk(dst, src *Poly, lo, hi int) {
 			}
 			dst.Coeffs[jq][j] = acc
 		}
+	}
+}
+
+// RoundToPlaintext writes into dst the coefficient-wise value
+//
+//	round(t·x / Q) mod t
+//
+// for the first len(dst) coefficients x of src (base ring, coefficient
+// domain) — the last step of BFV decryption, bit-identical to the
+// big.Int computation (t·x_c ± Q/2) quo Q mod t on the centered x_c.
+//
+// Write t·x = Q·m + w with w = [t·x]_Q centered; Q is odd, so |w| <
+// Q/2 strictly and m is the unique nearest integer, whichever
+// representative of x is taken. Modulo t the left side vanishes:
+// m ≡ −w·Q⁻¹. With the mixed-radix digits d_i of u = t·x mod Q in
+// [0, Q), w is u or u − Q, and −(−Q)·Q⁻¹ = 1, so
+//
+//	m = Σ d_i·(−Q⁻¹·W_i mod t) + [u > Q/2]   (mod t).
+func (be *BasisExtender) RoundToPlaintext(dst []uint64, src *Poly) {
+	k, t := be.k, be.t
+	var buf [maxStackDigits]uint64
+	digits := buf[:]
+	if k > maxStackDigits {
+		digits = make([]uint64, k)
+	} else {
+		digits = digits[:k]
+	}
+	for j := range dst {
+		for i := 0; i < k; i++ {
+			digits[i] = mathutil.ShoupMul(src.Coeffs[i][j], be.tModQ[i], be.tModQS[i], be.rQ.Primes[i])
+		}
+		be.decQ.Decompose(digits, digits)
+		var m uint64
+		if mathutil.MRGreater(digits, be.halfQDigits) {
+			m = 1
+		}
+		for i := 0; i < k; i++ {
+			m = mathutil.AddMod(m, mathutil.ShoupMul(digits[i], be.plainW[i], be.plainWS[i], t), t)
+		}
+		dst[j] = m
 	}
 }
 

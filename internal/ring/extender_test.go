@@ -233,3 +233,59 @@ func TestParallelOpsMatchSerial(t *testing.T) {
 		t.Fatal("parallel MulScalar differs from serial")
 	}
 }
+
+// TestRoundToPlaintextMatchesBigInt compares the pure-RNS decryption
+// rounding with round(t·x_c/Q) mod t computed in math/big, on random
+// coefficients and on the ones where t·x mod Q sits next to 0, Q/2
+// and Q (x = k·Q/t ± 1 puts t·x within t of a multiple of Q).
+func TestRoundToPlaintextMatchesBigInt(t *testing.T) {
+	rq, _, be := extenderFixture(t, 64, 0)
+	tb := new(big.Int).SetUint64(65537)
+	q := rq.Modulus()
+	halfQ := new(big.Int).Rsh(q, 1)
+	src := rq.NewPoly()
+	check := func(name string) {
+		t.Helper()
+		got := make([]uint64, rq.N)
+		be.RoundToPlaintext(got, src)
+		var x, num big.Int
+		for j := range got {
+			rq.CoeffBigCentered(&x, src, j)
+			num.Mul(tb, &x)
+			if num.Sign() >= 0 {
+				num.Add(&num, halfQ)
+			} else {
+				num.Sub(&num, halfQ)
+			}
+			num.Quo(&num, q)
+			if want := num.Mod(&num, tb).Uint64(); got[j] != want {
+				t.Fatalf("%s: coefficient %d (x = %s) rounds to %d, big.Int reference %d", name, j, &x, got[j], want)
+			}
+		}
+	}
+
+	rng := rand.New(rand.NewSource(21))
+	for trial := 0; trial < 20; trial++ {
+		for i, p := range rq.Primes {
+			for j := range src.Coeffs[i] {
+				src.Coeffs[i][j] = rng.Uint64() % p
+			}
+		}
+		check("random")
+	}
+
+	rq.Zero(src)
+	j := 0
+	for _, k := range []int64{0, 1, 2, 32768, 32769, 65536} {
+		// x near k·Q/t and near (k + ½)·Q/t.
+		for _, twice := range []int64{2 * k, 2*k + 1} {
+			base := new(big.Int).Mul(q, big.NewInt(twice))
+			base.Quo(base, new(big.Int).Lsh(tb, 1))
+			for d := int64(-1); d <= 1; d++ {
+				rq.SetCoeffBig(src, j, new(big.Int).Add(base, big.NewInt(d)))
+				j++
+			}
+		}
+	}
+	check("edges")
+}

@@ -366,20 +366,6 @@ func (r *Ring) mulScalarRange(dst, a *Poly, s uint64, i, lo, hi int) {
 	}
 }
 
-// MulScalarBig sets dst = a * s for an arbitrary-precision scalar s.
-func (r *Ring) MulScalarBig(dst, a *Poly, s *big.Int) {
-	var tmp, pb big.Int
-	for i, p := range r.Primes {
-		pb.SetUint64(p)
-		tmp.Mod(s, &pb)
-		sp := tmp.Uint64()
-		ai, di := a.Coeffs[i], dst.Coeffs[i]
-		for j := range di {
-			di[j] = mathutil.MulMod(ai[j], sp, p)
-		}
-	}
-}
-
 // NTT transforms p in place, coefficient domain → evaluation domain.
 // The parallel grid is one task per residue row: the lazy-reduction
 // butterflies carry cross-coefficient dependencies through every pass,

@@ -25,6 +25,13 @@
 //	out, _ := rt.Run(res.Lowered, []*porcupine.Ciphertext{ct}, nil)
 //	fmt.Println(rt.DecryptVec(out, 32))
 //
+// EncryptVec and DecryptVec are goroutine-safe: any number of
+// keyholder goroutines may share one Runtime (or the backend.Context
+// inside it), each call drawing its scratch from shared pools and
+// allocating only the ciphertext or vector it returns. Runtime.Run is
+// safe too (it borrows a pooled session per call); a Session driven
+// directly belongs to one goroutine.
+//
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-versus-measured record of every table and figure.
 package porcupine
