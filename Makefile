@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race test-short test-benchmark bench bench-figure4 bench-ops bench-synth bench-serve bench-rot bench-scale bench-mux smoke-serve smoke-wire smoke-registry alloc-canary
+.PHONY: all build vet test test-race test-short test-benchmark fuzz bench bench-figure4 bench-ops bench-synth bench-serve bench-rot bench-scale bench-mux smoke-serve smoke-wire smoke-registry alloc-canary
 
 all: vet build test-short
 
@@ -30,6 +30,15 @@ test-race:
 # it cannot rot against internal/ API changes. Mirrors the CI job.
 test-benchmark:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+
+# Native fuzzing of the two decoders a serving process and a client
+# run on untrusted bytes (mirrors the CI job): 30 s per target. A
+# short minimization budget keeps a found crash from being minimized
+# past the fuzzing deadline; a failing input lands in
+# internal/wire/testdata/fuzz/ and then runs in every `go test`.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeRequest$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/wire/
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResponse$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/wire/
 
 # benchstat-friendly: 5 repetitions of every paper benchmark. Pipe two
 # runs through benchstat to compare changes:
@@ -132,7 +141,9 @@ bench-mux:
 # levelized steps), and the slot-multiplexed batch path — must report
 # 0 allocs/op; the keyholder's EncryptVec and DecryptVec (both presets)
 # must stay within 8 allocs/op — the returned ciphertext or vector,
-# nothing per coefficient.
+# nothing per coefficient; the PN4096 codec round trip
+# (BenchmarkWireRoundTrip) must stay within 1.5× the bytes of the
+# packed request and response it reports — the encoded buffers only.
 alloc-canary:
 	$(GO) test -run '^$$' -bench '^(BenchmarkPlanRun|BenchmarkHoistedPlanRun|BenchmarkDomainAssignedPlanRun|BenchmarkTreeBatchedPlanRun|BenchmarkSharedRotPlanRun|BenchmarkParallelPlanRun|BenchmarkMuxedPlanRun)$$' -benchtime 1x -benchmem . | tee /tmp/porcupine-canary.out
 	grep -E 'BenchmarkPlanRun.* 0 B/op.* 0 allocs/op' /tmp/porcupine-canary.out
@@ -142,5 +153,6 @@ alloc-canary:
 	grep -E 'BenchmarkSharedRotPlanRun.* 0 B/op.* 0 allocs/op' /tmp/porcupine-canary.out
 	grep -E 'BenchmarkParallelPlanRun.* 0 B/op.* 0 allocs/op' /tmp/porcupine-canary.out
 	grep -E 'BenchmarkMuxedPlanRun.* 0 B/op.* 0 allocs/op' /tmp/porcupine-canary.out
-	$(GO) test -run '^$$' -bench '^(BenchmarkEncryptVec|BenchmarkDecryptVec)$$' -benchtime 1x -benchmem . | tee /tmp/porcupine-canary-client.out
+	$(GO) test -run '^$$' -bench '^(BenchmarkEncryptVec|BenchmarkDecryptVec|BenchmarkWireRoundTrip)$$' -benchtime 1x -benchmem . | tee /tmp/porcupine-canary-client.out
 	awk '/^Benchmark(Encrypt|Decrypt)Vec\// { n++; if ($$(NF-1) > 8) bad = 1 } END { exit bad || n != 4 }' /tmp/porcupine-canary-client.out
+	awk '/^BenchmarkWireRoundTrip/ { n++; for (i = 2; i < NF; i++) v[$$(i+1)] = $$i; if (v["B/op"] > 1.5 * (v["req-B"] + v["resp-B"])) bad = 1 } END { exit bad || n != 1 }' /tmp/porcupine-canary-client.out

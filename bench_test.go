@@ -27,6 +27,7 @@ import (
 	"porcupine/internal/plan"
 	"porcupine/internal/quill"
 	"porcupine/internal/synth"
+	"porcupine/internal/wire"
 )
 
 // benchKernels are the directly synthesized kernels ordered as in
@@ -915,8 +916,61 @@ func BenchmarkDecryptVec(b *testing.B) {
 	}
 }
 
+// BenchmarkWireRoundTrip is the allocation canary and the timing record
+// of the four codecs at PN4096: EncodeRequest of a fresh (seeded)
+// ciphertext → DecodeRequest → EncodeResponse of an evaluated one →
+// DecodeResponse, recycling the decoded ciphertexts as the serving
+// process and a client do. It reports the packed sizes (req-B, resp-B);
+// CI holds B/op to 1.5× their sum — the two encoded buffers, nothing
+// per polynomial.
+func BenchmarkWireRoundTrip(b *testing.B) {
+	ctx, v := clientCryptoContext(b, "PN4096")
+	params := ctx.Params
+	in, err := ctx.EncryptVec(v)
+	if err != nil {
+		b.Fatal(err)
+	}
+	out, err := ctx.Eval.RotateRows(in, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := &porcupine.WireRequest{CtIn: []*porcupine.Ciphertext{in}}
+	var reqLen, respLen int
+	roundTrip := func() {
+		body, err := wire.EncodeRequest(params, req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		got, err := wire.DecodeRequest(params, body)
+		if err != nil {
+			b.Fatal(err)
+		}
+		params.RecycleCiphertext(got.CtIn[0])
+		resp, err := wire.EncodeResponse(params, out)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ct, err := wire.DecodeResponse(params, resp)
+		if err != nil {
+			b.Fatal(err)
+		}
+		params.RecycleCiphertext(ct)
+		reqLen, respLen = len(body), len(resp)
+	}
+	roundTrip()
+	runtime.GC()
+	roundTrip()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		roundTrip()
+	}
+	b.ReportMetric(float64(reqLen), "req-B")
+	b.ReportMetric(float64(respLen), "resp-B")
+}
+
 // BenchmarkKeyGen times a keyholder's full key generation (secret,
-// public, relinearization and eight Galois keys) — the backend.keygen_s
+// relinearization and eight Galois keys) — the backend.keygen_s
 // share of every workload's set-up.
 func BenchmarkKeyGen(b *testing.B) {
 	rots := []int{1, 2, 3, 4, -1, -2, -3, -4}

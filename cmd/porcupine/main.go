@@ -63,7 +63,7 @@
 //	-export-registry F  compiles every kernel (or the -kernels subset),
 //	                    builds one shared context whose Galois keys
 //	                    also cover each eligible kernel's slot-
-//	                    multiplexing lanes, and writes a wire-v5
+//	                    multiplexing lanes, and writes a wire
 //	                    registry: the manifest of named plans, one
 //	                    key-material section, and per-kernel self-test
 //	                    samples.
@@ -816,7 +816,7 @@ func runLoadCheck(path string, iters, workers, ringWorkers int) error {
 
 // runExportRegistry compiles the kernel suite (or the -kernels
 // subset), builds ONE shared serving context whose Galois keys also
-// cover every eligible kernel's mux lanes, and writes the wire-v5
+// cover every eligible kernel's mux lanes, and writes the wire
 // registry artifact: manifest of named plans, one key-material
 // section, per-kernel self-test samples. reqDir, when set, receives
 // each kernel's wire-encoded sample request as <kernel>.preq — the

@@ -89,10 +89,6 @@ func newContext(params *bfv.Parameters, encoder *bfv.Encoder, kg *bfv.KeyGenerat
 	if err != nil {
 		return nil, err
 	}
-	pk, err := kg.GenPublicKey(sk)
-	if err != nil {
-		return nil, err
-	}
 	rlk, err := kg.GenRelinearizationKey(sk)
 	if err != nil {
 		return nil, err
@@ -104,7 +100,7 @@ func newContext(params *bfv.Parameters, encoder *bfv.Encoder, kg *bfv.KeyGenerat
 	return &Context{
 		Params:  params,
 		Encoder: encoder,
-		Enc:     bfv.NewEncryptor(params, pk),
+		Enc:     bfv.NewEncryptor(params, sk),
 		Dec:     bfv.NewDecryptor(params, sk),
 		Eval:    bfv.NewEvaluator(params, rlk, gks),
 		sk:      sk,
@@ -280,7 +276,7 @@ func RotationSteps(programs ...*quill.Lowered) []int {
 // lowered programs behave identically to the abstract machine.
 func (c *Context) EncryptVec(v quill.Vec) (*bfv.Ciphertext, error) {
 	if c.Enc == nil {
-		return nil, fmt.Errorf("backend: sealed context holds no public key; encrypt on the exporting side")
+		return nil, fmt.Errorf("backend: sealed context holds no secret key; encrypt on the exporting side")
 	}
 	if len(v) > c.Params.SlotCount() {
 		return nil, fmt.Errorf("backend: vector of %d slots exceeds row size %d", len(v), c.Params.SlotCount())

@@ -40,7 +40,7 @@ func (ev *Evaluator) BeginBatchedRotation(br *BatchedRotation, k int) error {
 	if g == 1 {
 		return nil
 	}
-	if ev.gks == nil || !ev.gks.has(g) {
+	if ev.gks == nil || !ev.gks.HasElement(g) {
 		return fmt.Errorf("bfv: no Galois key for element %d", g)
 	}
 	br.key = ev.gks.keys[g]

@@ -12,7 +12,6 @@ type testContext struct {
 	enc    *Encoder
 	kg     *KeyGenerator
 	sk     *SecretKey
-	pk     *PublicKey
 	rlk    *RelinearizationKey
 	gks    *GaloisKeys
 	encr   *Encryptor
@@ -42,10 +41,6 @@ func presetContext(t testing.TB, preset string, steps []int) *testContext {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pk, err := kg.GenPublicKey(sk)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rlk, err := kg.GenRelinearizationKey(sk)
 	if err != nil {
 		t.Fatal(err)
@@ -55,8 +50,8 @@ func presetContext(t testing.TB, preset string, steps []int) *testContext {
 		t.Fatal(err)
 	}
 	return &testContext{
-		params: params, enc: enc, kg: kg, sk: sk, pk: pk, rlk: rlk, gks: gks,
-		encr: NewTestEncryptor(params, pk, 8),
+		params: params, enc: enc, kg: kg, sk: sk, rlk: rlk, gks: gks,
+		encr: NewTestEncryptor(params, sk, 8),
 		dec:  NewDecryptor(params, sk),
 		ev:   NewEvaluator(params, rlk, gks),
 	}

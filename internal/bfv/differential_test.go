@@ -18,10 +18,6 @@ func diffFixture(t *testing.T, seed int64) (*Parameters, *Evaluator, *Evaluator,
 	if err != nil {
 		t.Fatal(err)
 	}
-	pk, err := kg.GenPublicKey(sk)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rlk, err := kg.GenRelinearizationKey(sk)
 	if err != nil {
 		t.Fatal(err)
@@ -34,7 +30,7 @@ func diffFixture(t *testing.T, seed int64) (*Parameters, *Evaluator, *Evaluator,
 	if err != nil {
 		t.Fatal(err)
 	}
-	encryptor := NewTestEncryptor(params, pk, seed+1)
+	encryptor := NewTestEncryptor(params, sk, seed+1)
 	rng := rand.New(rand.NewSource(seed + 2))
 	fresh := func() *Ciphertext {
 		vals := make([]uint64, enc.SlotCount())
@@ -153,11 +149,7 @@ func TestMulDecryptsCorrectly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pk, err := kg.GenPublicKey(sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	encryptor := NewTestEncryptor(params, pk, 43)
+	encryptor := NewTestEncryptor(params, sk, 43)
 	dec = NewDecryptor(params, sk)
 
 	pa, err := enc.EncodeNew(va)

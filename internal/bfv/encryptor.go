@@ -1,28 +1,35 @@
 package bfv
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
+
 	"porcupine/internal/mathutil"
 	"porcupine/internal/ring"
 )
 
-// Encryptor encrypts plaintexts under a public key. It holds no
+// SeedSize is the size in bytes of the seed a fresh ciphertext's c1
+// is expanded from.
+const SeedSize = 32
+
+// Encryptor encrypts plaintexts under the secret key. It holds no
 // per-call state (scratch comes from the ring pool, randomness from a
 // concurrency-safe sampler), so one Encryptor serves any number of
 // goroutines.
 type Encryptor struct {
 	params  *Parameters
-	pk      *PublicKey
+	sk      *SecretKey
 	sampler *ring.Sampler
 }
 
 // NewEncryptor returns an encryptor using secure randomness.
-func NewEncryptor(params *Parameters, pk *PublicKey) *Encryptor {
-	return &Encryptor{params: params, pk: pk, sampler: ring.NewSampler(params.ringQ)}
+func NewEncryptor(params *Parameters, sk *SecretKey) *Encryptor {
+	return &Encryptor{params: params, sk: sk, sampler: ring.NewSampler(params.ringQ)}
 }
 
 // NewTestEncryptor returns a deterministic encryptor for tests.
-func NewTestEncryptor(params *Parameters, pk *PublicKey, seed int64) *Encryptor {
-	return &Encryptor{params: params, pk: pk, sampler: ring.NewTestSampler(params.ringQ, seed)}
+func NewTestEncryptor(params *Parameters, sk *SecretKey, seed int64) *Encryptor {
+	return &Encryptor{params: params, sk: sk, sampler: ring.NewTestSampler(params.ringQ, seed)}
 }
 
 // deltaTimesPlaintext writes Δ·m (lifted to R_Q) into dst. The
@@ -40,35 +47,60 @@ func deltaTimesPlaintext(params *Parameters, dst *ring.Poly, pt *Plaintext) {
 	}
 }
 
-// Encrypt encrypts pt into a fresh degree-1 ciphertext:
-// (c0, c1) = (p0·u + e0 + Δ·m, p1·u + e1). The cost is three draws of
-// the sampler, one forward and two inverse NTTs; the only allocation
-// is the returned ciphertext.
+// Encrypt encrypts pt into a fresh degree-1 secret-key ciphertext
+// (c0, c1) = (−a·s + e + Δ·m, a), where a is what a fresh seed expands
+// to (expandSeed); the ciphertext keeps the seed, so it encodes as c0
+// and the seed. Seed and e come from the encryptor's source, never e
+// from the seed. Cost: a seed expansion, an error draw, one NTT and one
+// INTT; the only allocation is the returned ciphertext.
 func (enc *Encryptor) Encrypt(pt *Plaintext) (*Ciphertext, error) {
-	r := enc.params.ringQ
-	// tmp holds u, then e0, then e1, then Δ·m.
-	tmp := r.GetPolyNoZero()
-	defer r.PutPoly(tmp)
-	if err := enc.sampler.Ternary(tmp); err != nil {
+	params := enc.params
+	r := params.ringQ
+	ct := params.NewCiphertextUninit(1)
+	c0, a := ct.Value[0], ct.Value[1]
+	e := r.GetPolyNoZero()
+	defer r.PutPoly(e)
+	err := enc.sampler.Bytes(ct.seed[:])
+	if err == nil {
+		err = params.expandSeed(a, &ct.seed)
+	}
+	if err == nil {
+		err = enc.sampler.Error(e)
+	}
+	if err != nil {
+		params.RecycleCiphertext(ct)
 		return nil, err
 	}
-	r.NTT(tmp)
-	ct := enc.params.NewCiphertextUninit(1)
-	c0, c1 := ct.Value[0], ct.Value[1]
-	r.MulCoeffs(c0, enc.pk.P0Ntt, tmp)
-	r.MulCoeffs(c1, enc.pk.P1Ntt, tmp)
+	r.CopyInto(c0, a)
+	r.NTT(c0)
+	r.MulCoeffs(c0, c0, enc.sk.SNtt)
 	r.INTT(c0)
-	r.INTT(c1)
-	for _, c := range ct.Value {
-		if err := enc.sampler.Error(tmp); err != nil {
-			enc.params.RecycleCiphertext(ct)
-			return nil, err
-		}
-		r.Add(c, c, tmp)
-	}
-	deltaTimesPlaintext(enc.params, tmp, pt)
-	r.Add(c0, c0, tmp)
+	r.Sub(c0, e, c0)
+	deltaTimesPlaintext(params, e, pt)
+	r.Add(c0, c0, e)
+	ct.seeded = true
 	return ct, nil
+}
+
+// expandSeed writes into a the uniform polynomial seed expands to: the
+// sampler's uniform draw over the AES-256-CTR keystream under the seed
+// (zero IV), which encryptor and decoders alike reproduce bit for bit.
+func (p *Parameters) expandSeed(a *ring.Poly, seed *[SeedSize]byte) error {
+	block, err := aes.NewCipher(seed[:])
+	if err != nil {
+		return err
+	}
+	var iv [aes.BlockSize]byte
+	return p.expander.UniformFrom(a, keystream{cipher.NewCTR(block, iv[:])})
+}
+
+// keystream reads a stream cipher's keystream.
+type keystream struct{ cipher.Stream }
+
+func (k keystream) Read(b []byte) (int, error) {
+	clear(b)
+	k.XORKeyStream(b, b)
+	return len(b), nil
 }
 
 // Decryptor decrypts ciphertexts with the secret key and measures

@@ -52,8 +52,10 @@ func (ev *Evaluator) checkDegree(op string, ct *Ciphertext, max int) error {
 // resize adjusts ct to the given degree. New polynomials come from
 // the ring pool and hold stale coefficients — every caller fully
 // overwrites all rows up to the new degree before reading them.
-// Truncated polynomials go back to the pool.
+// Truncated polynomials go back to the pool. Every evaluator write
+// into a ciphertext passes through here, which clears its seed.
 func (ev *Evaluator) resize(ct *Ciphertext, degree int) {
+	ct.seeded = false
 	r := ev.params.ringQ
 	for len(ct.Value) < degree+1 {
 		ct.Value = append(ct.Value, r.GetPolyNoZero())
@@ -409,7 +411,7 @@ func (ev *Evaluator) RotateRowsHoistedInto(dst, ct *Ciphertext, dec *Decompositi
 		ev.copyCiphertextInto(dst, ct)
 		return nil
 	}
-	if ev.gks == nil || !ev.gks.has(g) {
+	if ev.gks == nil || !ev.gks.HasElement(g) {
 		return fmt.Errorf("bfv: no Galois key for element %d", g)
 	}
 	ev.galoisFromDecomp(dst, ct, dec.d, ev.gks.keys[g], g)
@@ -575,7 +577,7 @@ func (ev *Evaluator) RotateColumnsInto(dst, ct *Ciphertext) error {
 // same bits whether or not its decomposition was hoisted across a
 // fan-out.
 func (ev *Evaluator) applyGaloisInto(dst, ct *Ciphertext, g uint64) error {
-	if ev.gks == nil || !ev.gks.has(g) {
+	if ev.gks == nil || !ev.gks.HasElement(g) {
 		return fmt.Errorf("bfv: no Galois key for element %d", g)
 	}
 	r := ev.params.ringQ

@@ -17,10 +17,6 @@ func benchRuntime(b *testing.B, preset string) (*Evaluator, *Ciphertext, *Cipher
 	if err != nil {
 		b.Fatal(err)
 	}
-	pk, err := kg.GenPublicKey(sk)
-	if err != nil {
-		b.Fatal(err)
-	}
 	rlk, err := kg.GenRelinearizationKey(sk)
 	if err != nil {
 		b.Fatal(err)
@@ -33,7 +29,7 @@ func benchRuntime(b *testing.B, preset string) (*Evaluator, *Ciphertext, *Cipher
 	if err != nil {
 		b.Fatal(err)
 	}
-	encryptor := NewTestEncryptor(params, pk, 2)
+	encryptor := NewTestEncryptor(params, sk, 2)
 	rng := rand.New(rand.NewSource(3))
 	fresh := func() *Ciphertext {
 		vals := make([]uint64, enc.SlotCount())
@@ -111,7 +107,6 @@ func BenchmarkEvaluatorRotateFanOut(b *testing.B) {
 		}
 		kg := NewTestKeyGenerator(params, 1)
 		sk, _ := kg.GenSecretKey()
-		pk, _ := kg.GenPublicKey(sk)
 		gks, err := kg.GenGaloisKeys(sk, steps)
 		if err != nil {
 			b.Fatal(err)
@@ -122,7 +117,7 @@ func BenchmarkEvaluatorRotateFanOut(b *testing.B) {
 			vals[i] = uint64(i % 64)
 		}
 		pt, _ := enc.EncodeNew(vals)
-		ct, err := NewTestEncryptor(params, pk, 2).Encrypt(pt)
+		ct, err := NewTestEncryptor(params, sk, 2).Encrypt(pt)
 		if err != nil {
 			b.Fatal(err)
 		}

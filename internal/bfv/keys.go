@@ -2,6 +2,7 @@ package bfv
 
 import (
 	"fmt"
+	"slices"
 
 	"porcupine/internal/mathutil"
 	"porcupine/internal/ring"
@@ -12,12 +13,6 @@ import (
 type SecretKey struct {
 	S    *ring.Poly // coefficient domain
 	SNtt *ring.Poly // NTT domain
-}
-
-// PublicKey is an LWE encryption of zero: (p0, p1) = (-(a·s+e), a),
-// stored in the NTT domain for fast encryption.
-type PublicKey struct {
-	P0Ntt, P1Ntt *ring.Poly
 }
 
 // switchingKey holds one key-switching key: per Q-prime i a pair
@@ -39,15 +34,12 @@ type GaloisKeys struct {
 	keys map[uint64]*switchingKey
 }
 
-// Steps returns whether a key for the Galois element g is present.
-func (gk *GaloisKeys) has(g uint64) bool {
+// HasElement reports whether a key for the Galois element g is
+// present (g = Parameters.GaloisElement(step) for slot rotations).
+func (gk *GaloisKeys) HasElement(g uint64) bool {
 	_, ok := gk.keys[g]
 	return ok
 }
-
-// HasElement reports whether a key for the Galois element g is
-// present (g = Parameters.GaloisElement(step) for slot rotations).
-func (gk *GaloisKeys) HasElement(g uint64) bool { return gk.has(g) }
 
 // Elements returns the Galois elements the key set covers, sorted.
 func (gk *GaloisKeys) Elements() []uint64 {
@@ -55,7 +47,7 @@ func (gk *GaloisKeys) Elements() []uint64 {
 	for g := range gk.keys {
 		out = append(out, g)
 	}
-	sortU64(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -106,15 +98,6 @@ func (kg *KeyGenerator) lweSample(sk *SecretKey) (b, a *ring.Poly, err error) {
 	r.MulCoeffsAndAdd(b, a, sk.SNtt)
 	r.Neg(b, b)
 	return b, a, nil
-}
-
-// GenPublicKey derives a public key from sk.
-func (kg *KeyGenerator) GenPublicKey(sk *SecretKey) (*PublicKey, error) {
-	p0, p1, err := kg.lweSample(sk)
-	if err != nil {
-		return nil, err
-	}
-	return &PublicKey{P0Ntt: p0, P1Ntt: p1}, nil
 }
 
 // genSwitchingKey builds a key switching sPrimeNtt (NTT domain) to sk.

@@ -238,7 +238,7 @@ func (ev *Evaluator) RotateRowsHoistedIntoNTT(dst, ct *Ciphertext, dec *Decompos
 		ev.NTTInto(dst, ct)
 		return nil
 	}
-	if ev.gks == nil || !ev.gks.has(g) {
+	if ev.gks == nil || !ev.gks.HasElement(g) {
 		return fmt.Errorf("bfv: no Galois key for element %d", g)
 	}
 	if !dec.c0Set {
@@ -264,7 +264,7 @@ func (ev *Evaluator) RotateRowsHoistedNTTIntoNTT(dst, ct *Ciphertext, dec *Decom
 		ev.copyCiphertextInto(dst, ct)
 		return nil
 	}
-	if ev.gks == nil || !ev.gks.has(g) {
+	if ev.gks == nil || !ev.gks.HasElement(g) {
 		return fmt.Errorf("bfv: no Galois key for element %d", g)
 	}
 	ev.galoisFromDecompToNTT(dst, ct.Value[0], dec.d, ev.gks.keys[g], g)
@@ -285,7 +285,7 @@ func (ev *Evaluator) RotateRowsIntoNTT(dst, ct *Ciphertext, k int) error {
 		ev.NTTInto(dst, ct)
 		return nil
 	}
-	if ev.gks == nil || !ev.gks.has(g) {
+	if ev.gks == nil || !ev.gks.HasElement(g) {
 		return fmt.Errorf("bfv: no Galois key for element %d", g)
 	}
 	dec := r.GetDecomposition()
@@ -313,7 +313,7 @@ func (ev *Evaluator) RotateRowsNTTIntoNTT(dst, ct *Ciphertext, k int) error {
 		ev.copyCiphertextInto(dst, ct)
 		return nil
 	}
-	if ev.gks == nil || !ev.gks.has(g) {
+	if ev.gks == nil || !ev.gks.HasElement(g) {
 		return fmt.Errorf("bfv: no Galois key for element %d", g)
 	}
 	c1 := r.GetPolyNoZero()

@@ -1,8 +1,8 @@
 // Package bfv implements the Brakerski/Fan-Vercauteren homomorphic
 // encryption scheme over the ring R_Q = Z_Q[X]/(X^N+1): batching
-// encoder, key generation (secret, public, relinearization and Galois
-// keys), encryption, decryption, and the homomorphic evaluator with
-// SIMD add/sub/multiply and slot rotation.
+// encoder, key generation (secret, relinearization and Galois keys),
+// secret-key encryption with seeded ciphertexts, decryption, and the
+// homomorphic evaluator with SIMD add/sub/multiply and slot rotation.
 //
 // It plays the role Microsoft SEAL v3.5 plays in the Porcupine paper:
 // the concrete cryptographic backend that lowered Quill kernels
@@ -41,12 +41,14 @@ type Parameters struct {
 	extender *ring.BasisExtender // pure-RNS Q↔ext conversions for Mul
 
 	q       *big.Int // Q = ∏ QPrimes
-	delta   *big.Int // Δ = floor(Q/t)
-	deltaQi []uint64 // Δ mod p_i
+	deltaQi []uint64 // Δ = floor(Q/t) mod p_i
 	deltaQS []uint64 // Shoup companions of deltaQi
 
 	// ptPool recycles plaintext scratch (see GetPlaintext).
 	ptPool sync.Pool
+
+	// expander's buffer pool serves seed expansions (expandSeed).
+	expander *ring.Sampler
 
 	secure bool // true when the preset meets the 128-bit HE standard
 	name   string
@@ -111,14 +113,15 @@ func newParameters(n int, qPrimes []uint64) (*Parameters, error) {
 		return nil, err
 	}
 
+	p.expander = ring.NewSampler(p.ringQ)
 	p.q = new(big.Int).Set(p.ringQ.Modulus())
-	p.delta = new(big.Int).Div(p.q, new(big.Int).SetUint64(p.T))
+	delta := new(big.Int).Div(p.q, new(big.Int).SetUint64(p.T))
 	p.deltaQi = make([]uint64, len(qPrimes))
 	p.deltaQS = make([]uint64, len(qPrimes))
 	var tmp, pb big.Int
 	for i, pr := range qPrimes {
 		pb.SetUint64(pr)
-		tmp.Mod(p.delta, &pb)
+		tmp.Mod(delta, &pb)
 		p.deltaQi[i] = tmp.Uint64()
 		p.deltaQS[i] = mathutil.ShoupPrecomp(p.deltaQi[i], pr)
 	}
@@ -230,9 +233,6 @@ func (p *Parameters) RingQ() *ring.Ring { return p.ringQ }
 // Q returns the ciphertext modulus as a big integer (do not modify).
 func (p *Parameters) Q() *big.Int { return p.q }
 
-// Delta returns Δ = floor(Q/t) (do not modify).
-func (p *Parameters) Delta() *big.Int { return p.delta }
-
 // SlotCount returns the number of SIMD slots exposed to Quill programs:
 // one batching row of N/2 slots, rotated circularly by RotateRows.
 func (p *Parameters) SlotCount() int { return p.N / 2 }
@@ -284,7 +284,17 @@ func (p *Parameters) PutPlaintext(pt *Plaintext) {
 // relinearization yields three.
 type Ciphertext struct {
 	Value []*ring.Poly
+
+	// While seeded, Value[1] is what seed expands to (a fresh or
+	// decoded seeded encryption) and the encoding carries the seed in
+	// its place. Every evaluator write and RecycleCiphertext clear it.
+	seed   [SeedSize]byte
+	seeded bool
 }
+
+// Seeded reports whether ct still carries the seed its c1 was expanded
+// from, so that it encodes as c0 plus the seed.
+func (ct *Ciphertext) Seeded() bool { return ct.seeded }
 
 // Degree returns len(Value) - 1.
 func (ct *Ciphertext) Degree() int { return len(ct.Value) - 1 }
@@ -319,11 +329,12 @@ func (p *Parameters) RecycleCiphertext(ct *Ciphertext) {
 		p.ringQ.PutPoly(v)
 	}
 	ct.Value = nil
+	ct.seeded = false
 }
 
-// CopyCiphertext returns a deep copy of ct.
+// CopyCiphertext returns a deep copy of ct (seed included).
 func (p *Parameters) CopyCiphertext(ct *Ciphertext) *Ciphertext {
-	out := &Ciphertext{Value: make([]*ring.Poly, len(ct.Value))}
+	out := &Ciphertext{Value: make([]*ring.Poly, len(ct.Value)), seed: ct.seed, seeded: ct.seeded}
 	for i, v := range ct.Value {
 		out.Value[i] = p.ringQ.GetPolyNoZero()
 		p.ringQ.CopyInto(out.Value[i], v)

@@ -1,16 +1,13 @@
 package bfv
 
 import (
+	"bytes"
 	"testing"
 )
 
 func TestParametersSerializationRoundTrip(t *testing.T) {
 	tc := newTestContext(t, nil)
-	data, err := tc.params.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := UnmarshalParameters(data)
+	restored, err := UnmarshalParameters(tc.params.AppendBinary(nil, tc.params))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,17 +24,31 @@ func TestParametersSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestCiphertextSerializationRoundTrip: a fresh ciphertext travels
+// seeded (c0 and the seed, about half the bytes of both polynomials),
+// decodes into the identical ciphertext with its seed kept, and
+// re-encodes byte for byte.
 func TestCiphertextSerializationRoundTrip(t *testing.T) {
 	tc := newTestContext(t, []int{1})
 	v := []uint64{11, 22, 33, 44}
 	ct := tc.encryptVec(t, v)
-	data, err := ct.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	if !ct.Seeded() {
+		t.Fatal("fresh encryption carries no seed")
+	}
+	data := tc.params.AppendBinary(nil, ct)
+	poly := tc.params.ringQ.PolyWireSize()
+	if want := headerSize + 5 + SeedSize + poly; len(data) != want || len(data) != tc.params.BinarySize(ct) {
+		t.Fatalf("seeded ciphertext encodes to %d bytes (BinarySize %d), want %d", len(data), tc.params.BinarySize(ct), want)
 	}
 	restored, err := tc.params.UnmarshalCiphertext(data)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !restored.Seeded() || !tc.params.CiphertextEqual(restored, ct) {
+		t.Fatal("seeded round trip did not reproduce the ciphertext and its seed")
+	}
+	if again := tc.params.AppendBinary(nil, restored); !bytes.Equal(again, data) {
+		t.Fatal("decoded ciphertext re-encodes differently")
 	}
 	got := tc.decryptVec(restored)
 	for i := range v {
@@ -53,6 +64,12 @@ func TestCiphertextSerializationRoundTrip(t *testing.T) {
 	if tc.decryptVec(rot)[0] != v[1] {
 		t.Error("restored ciphertext broken after rotation")
 	}
+	if rot.Seeded() {
+		t.Error("evaluated ciphertext claims a seed")
+	}
+	if n := tc.params.BinarySize(rot); n != headerSize+5+2*poly {
+		t.Errorf("unseeded ciphertext sized at %d bytes, want %d", n, headerSize+5+2*poly)
+	}
 }
 
 func TestDegree2CiphertextSerialization(t *testing.T) {
@@ -62,11 +79,7 @@ func TestDegree2CiphertextSerialization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := d2.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	restored, err := tc.params.UnmarshalCiphertext(data)
+	restored, err := tc.params.UnmarshalCiphertext(tc.params.AppendBinary(nil, d2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,9 +97,9 @@ func TestPlaintextSerializationRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := pt.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	data := tc.params.AppendBinary(nil, pt)
+	if want := headerSize + 4 + tc.params.N*17/8; len(data) != want {
+		t.Fatalf("plaintext encodes to %d bytes, want %d (17 bits per coefficient)", len(data), want)
 	}
 	restored, err := tc.params.UnmarshalPlaintext(data)
 	if err != nil {
@@ -101,33 +114,22 @@ func TestPlaintextSerializationRoundTrip(t *testing.T) {
 func TestEvaluationKeySerializationRoundTrip(t *testing.T) {
 	tc := newTestContext(t, []int{1, 2})
 
-	pkData, err := tc.pk.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pk, err := tc.params.UnmarshalPublicKey(pkData)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rlkData, err := tc.rlk.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rlkData := tc.params.AppendBinary(nil, tc.rlk)
 	rlk, err := tc.params.UnmarshalRelinearizationKey(rlkData)
 	if err != nil {
 		t.Fatal(err)
 	}
-	gkData, err := tc.gks.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
+	gkData := tc.params.AppendBinary(nil, tc.gks)
 	gks, err := tc.params.UnmarshalGaloisKeys(gkData)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if !bytes.Equal(tc.params.AppendBinary(nil, rlk), rlkData) || !bytes.Equal(tc.params.AppendBinary(nil, gks), gkData) {
+		t.Fatal("decoded keys re-encode differently")
+	}
 
 	// A full pipeline with only deserialized key material.
-	enc := NewTestEncryptor(tc.params, pk, 99)
+	enc := NewTestEncryptor(tc.params, tc.sk, 99)
 	ev := NewEvaluator(tc.params, rlk, gks)
 	pt, err := tc.enc.EncodeNew([]uint64{3, 4})
 	if err != nil {
@@ -154,17 +156,26 @@ func TestEvaluationKeySerializationRoundTrip(t *testing.T) {
 func TestSerializationRejectsCorruption(t *testing.T) {
 	tc := newTestContext(t, nil)
 	ct := tc.encryptVec(t, []uint64{1})
-	data, err := ct.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	data := tc.params.AppendBinary(nil, ct)
+	full := tc.params.AppendBinary(nil, tc.ev.Add(ct, ct))
+	flag := headerSize + 4 // the seeded byte follows the polynomial count
+	edit := func(d []byte, at int, b byte) []byte {
+		d = append([]byte(nil), d...)
+		d[at] = b
+		return d
 	}
 	cases := map[string][]byte{
-		"empty":     {},
-		"bad magic": append([]byte("XXXX"), data[4:]...),
-		"bad ver":   append([]byte("PBFV\x09"), data[5:]...),
-		"wrong tag": append([]byte("PBFV\x01\x01"), data[6:]...),
-		"truncated": data[:len(data)/2],
-		"trailing":  append(append([]byte{}, data...), 0),
+		"empty":              {},
+		"bad magic":          append([]byte("XXXX"), data[4:]...),
+		"bad ver":            append([]byte("PBFV\x02"), data[5:]...),
+		"wrong tag":          append([]byte("PBFV\x03\x01"), data[6:]...),
+		"truncated":          data[:len(data)/2],
+		"trailing":           append(append([]byte{}, data...), 0),
+		"seed flag 2":        edit(data, flag, 2),
+		"seeded, 3 polys":    edit(data, headerSize, 3),
+		"seed flag unseeded": edit(full, flag, 1),
+		"seed flag cleared":  edit(data, flag, 0),
+		"no polys":           edit(full, headerSize, 0),
 	}
 	for name, d := range cases {
 		if _, err := tc.params.UnmarshalCiphertext(d); err == nil {

@@ -167,8 +167,7 @@ type ExecutionPlan struct {
 	// plan's whole lifetime — registers never change domain, and the
 	// allocator never reuses a buffer across domains. NTT-resident
 	// registers always hold degree-1 ciphertexts. All-coefficient for
-	// plans compiled with DisableDomainAssignment and plans decoded
-	// from pre-v3 wire artifacts.
+	// plans compiled with DisableDomainAssignment.
 	RegDomain []Domain
 	// NumDecomps is the number of key-switching decomposition scratch
 	// slots a session needs. For double-hoisted plans it is the peak
@@ -177,8 +176,8 @@ type ExecutionPlan struct {
 	// source's last shared rotation, then reused); for legacy plans it
 	// is 1 when any hoisted or batched group exists (they never nest,
 	// one buffer serves all of them), 0 otherwise. Sized by the
-	// register allocator; serialized from wire v6 on (earlier versions
-	// recompute it from the step list).
+	// register allocator; never serialized (wire decoding recomputes it
+	// from the step list).
 	NumDecomps int
 
 	Steps []Step

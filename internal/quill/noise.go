@@ -37,14 +37,16 @@ type NoiseEstimate struct {
 // lowered program under the paper's Table-1 growth rules, extended
 // from multiplicative-depth bookkeeping to quantitative bit estimates:
 //
-//	fresh       log2(t · err · N)            (public-key encryption)
+//	fresh       2·log2(t)                    (secret-key encryption)
 //	add ct,ct   max + 1
 //	add ct,pt   unchanged (rounding-level contribution only)
 //	mul ct,pt   + log2(t) + log2(N)/2        (plaintext magnitude ≤ t)
 //	mul ct,ct   max + log2(t) + log2(N) + 2  (BFV tensor scaling)
 //	rot/relin   max(v, key-switch floor) + 1
 //
-// The key-switch floor is log2(t · N · err · p_max · k). These are
+// A fresh secret-key ciphertext's scaled noise is t·e − (Q mod t)·m,
+// where the rounding term (below t²) dominates t·e (|e| ≤ 21). The
+// key-switch floor is log2(t · N · err · p_max · k). These are
 // heuristic worst-case-shaped rules, calibrated against the bfv
 // backend (see noise_test.go); they are intended for the same use as
 // the paper's noise metadata — ranking candidate programs and sizing
@@ -58,7 +60,7 @@ func EstimateNoise(l *Lowered, np NoiseParams) (*NoiseEstimate, error) {
 	}
 	logT := math.Log2(float64(np.T))
 	logN := math.Log2(float64(np.N))
-	fresh := logT + math.Log2(errStdDev) + logN + 2
+	fresh := 2 * logT
 	ksFloor := logT + logN + math.Log2(errStdDev) + np.LogMaxPrime + math.Log2(float64(max(np.NumPrimes, 1)))
 
 	bits := make([]float64, l.NumValues())

@@ -72,9 +72,11 @@ func (s *Sampler) getBuf() *[]byte {
 	return &b
 }
 
-// fill overwrites b with fresh bytes of the randomness source.
-func (s *Sampler) fill(b []byte) error {
-	if _, err := io.ReadFull(s.src, b); err != nil {
+// Bytes fills b with bytes of the randomness source (a seed draw).
+func (s *Sampler) Bytes(b []byte) error { return readFull(s.src, b) }
+
+func readFull(src io.Reader, b []byte) error {
+	if _, err := io.ReadFull(src, b); err != nil {
 		return fmt.Errorf("ring: randomness source failed: %w", err)
 	}
 	return nil
@@ -85,7 +87,11 @@ func (s *Sampler) fill(b []byte) error {
 // uniform element of R_Q by CRT. Each residue is a 64-bit word of the
 // buffer reduced mod p_i, rejected when it falls in the incomplete
 // last interval of length p_i below 2^64 (so the result is unbiased).
-func (s *Sampler) Uniform(p *Poly) error {
+func (s *Sampler) Uniform(p *Poly) error { return s.UniformFrom(p, s.src) }
+
+// UniformFrom is Uniform drawing from src: a seed's keystream
+// reproduces one polynomial on both ends of a connection.
+func (s *Sampler) UniformFrom(p *Poly, src io.Reader) error {
 	bp := s.getBuf()
 	defer s.bufs.Put(bp)
 	n := s.r.N
@@ -95,7 +101,7 @@ func (s *Sampler) Uniform(p *Poly) error {
 		row := p.Coeffs[i]
 		for j := 0; j < n; {
 			chunk := (*bp)[:8*(n-j)]
-			if err := s.fill(chunk); err != nil {
+			if err := readFull(src, chunk); err != nil {
 				return err
 			}
 			for k := 0; k < len(chunk); k += 8 {
@@ -123,7 +129,7 @@ func (s *Sampler) Ternary(p *Poly) error {
 	// it did not.
 	chunk := (*bp)[:n+n/32+16]
 	for j := 0; j < n; {
-		if err := s.fill(chunk); err != nil {
+		if err := s.Bytes(chunk); err != nil {
 			return err
 		}
 		for _, b := range chunk {
@@ -157,7 +163,7 @@ func (s *Sampler) Error(p *Poly) error {
 	defer s.bufs.Put(bp)
 	n := s.r.N
 	buf := (*bp)[:6*n+2] // 8-byte loads at stride 6 overrun by 2 masked-off bytes
-	if err := s.fill(buf[:6*n]); err != nil {
+	if err := s.Bytes(buf[:6*n]); err != nil {
 		return err
 	}
 	const mask = 1<<cbdK - 1

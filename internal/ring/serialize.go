@@ -3,83 +3,148 @@ package ring
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
+	"slices"
 )
 
-// Binary polynomial encoding: the shared poly wire layout used by the
-// bfv object serializers and the plan-bundle format (internal/wire).
+// Binary polynomial encoding: the shared poly layout of the bfv object
+// serializers and, through them, of internal/wire. A polynomial is
+// encoded against a known Ring: a shape header, then one bit-packed
+// row per prime,
 //
-// A polynomial is encoded against a known Ring, so the layout carries
-// a small shape header for validation and then the raw residues in
-// bulk:
+//	u32 numPrimes | u32 degree | row_0 | … | row_{k-1}
 //
-//	u32 numPrimes | u32 degree | numPrimes*degree × u64 (little-endian)
-//
-// Decoding validates the shape against the ring and that every residue
-// is reduced modulo its prime, so corrupted or hostile inputs yield an
-// error instead of a polynomial that would silently break the NTT
-// invariants downstream.
+// where row i holds the N residues mod p_i at b_i = ⌈log₂ p_i⌉ bits
+// each, least-significant bit first (a 36-bit residue takes 4.5 bytes).
+// N·b_i is a multiple of 8 at every supported degree, so rows are
+// byte-aligned. Decoding validates the shape and that every residue is
+// reduced modulo its prime, so hostile input yields an error rather
+// than a polynomial that breaks the NTT invariants downstream; the
+// encoding is canonical, so a decoded polynomial re-encodes byte for
+// byte.
 
-// PolyWireSize returns the encoded size in bytes of one polynomial of
-// this ring.
-func (r *Ring) PolyWireSize() int {
-	return 8 + len(r.Primes)*r.N*8
-}
+// PackedWidth returns the bit width of a packed value below bound:
+// ⌈log₂ bound⌉, the bits of the largest value bound−1.
+func PackedWidth(bound uint64) int { return bits.Len64(bound - 1) }
 
-// AppendBinary appends the binary encoding of p to buf and returns
-// the extended buffer. The shape header is taken from the polynomial
-// itself, so encoding needs no ring; decoding (Ring.ReadPoly)
-// validates it.
-func (p *Poly) AppendBinary(buf []byte) []byte {
-	n := 0
-	if len(p.Coeffs) > 0 {
-		n = len(p.Coeffs[0])
-	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(p.Coeffs)))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(n))
-	// Bulk append: grow once, then fill.
+// PackedSize returns the size in bytes of n values packed at width
+// bits.
+func PackedSize(n, width int) int { return (n*width + 7) / 8 }
+
+// AppendPacked appends vals at width bits each, least-significant bit
+// first, growing buf at most once. Every value must fit in width bits.
+func AppendPacked(buf []byte, vals []uint64, width int) []byte {
 	off := len(buf)
-	buf = append(buf, make([]byte, len(p.Coeffs)*n*8)...)
-	for _, c := range p.Coeffs {
-		for _, x := range c {
-			binary.LittleEndian.PutUint64(buf[off:], x)
-			off += 8
+	size := PackedSize(len(vals), width)
+	buf = slices.Grow(buf, size)[:off+size]
+	out := buf[off:]
+	var acc uint64 // pending bits, low-aligned
+	have, o := 0, 0
+	for _, x := range vals {
+		acc |= x << have
+		if have += width; have >= 64 {
+			binary.LittleEndian.PutUint64(out[o:], acc)
+			o += 8
+			have -= 64
+			acc = x >> (width - have) // the bits of x that did not fit (0 when none)
 		}
+	}
+	for ; have > 0; have -= 8 {
+		out[o] = byte(acc)
+		acc >>= 8
+		o++
 	}
 	return buf
 }
 
-// ReadPoly decodes one polynomial of this ring from the front of data,
-// returning the polynomial and the number of bytes consumed. The shape
-// must match the ring exactly and every residue must be reduced modulo
-// its prime.
-func (r *Ring) ReadPoly(data []byte) (*Poly, int, error) {
-	if len(data) < 8 {
-		return nil, 0, fmt.Errorf("ring: truncated poly header")
+// ReadPacked fills dst with values packed at width bits from the front
+// of data and returns the number of bytes consumed. A value at or
+// above bound, or a set padding bit in the last byte, is an error.
+func ReadPacked(dst []uint64, data []byte, width int, bound uint64) (int, error) {
+	size := PackedSize(len(dst), width)
+	if len(data) < size {
+		return 0, fmt.Errorf("ring: truncated packed row (%d bytes, want %d)", len(data), size)
 	}
-	k := int(binary.LittleEndian.Uint32(data))
-	n := int(binary.LittleEndian.Uint32(data[4:]))
-	if k != len(r.Primes) {
-		return nil, 0, fmt.Errorf("ring: poly has %d prime components, ring has %d", k, len(r.Primes))
-	}
-	if n != r.N {
-		return nil, 0, fmt.Errorf("ring: poly degree %d, ring degree %d", n, r.N)
-	}
-	need := 8 + k*n*8
-	if len(data) < need {
-		return nil, 0, fmt.Errorf("ring: truncated poly body (%d bytes, want %d)", len(data), need)
-	}
-	p := r.NewPoly()
-	off := 8
-	for i, prime := range r.Primes {
-		c := p.Coeffs[i]
-		for j := 0; j < n; j++ {
-			x := binary.LittleEndian.Uint64(data[off:])
-			if x >= prime {
-				return nil, 0, fmt.Errorf("ring: residue %d out of range for prime %d", x, prime)
+	data = data[:size]
+	mask := uint64(1)<<width - 1
+	var acc uint64 // unread bits, low-aligned
+	have, o := 0, 0
+	for j := range dst {
+		var x uint64
+		if have >= width {
+			x = acc & mask
+			acc >>= width
+			have -= width
+		} else {
+			// Refill: the next word supplies the value's high bits and
+			// becomes the new reserve.
+			var w uint64
+			got := 64
+			if o+8 <= size {
+				w = binary.LittleEndian.Uint64(data[o:])
+				o += 8
+			} else {
+				for k := size - 1; k >= o; k-- {
+					w = w<<8 | uint64(data[k])
+				}
+				got, o = 8*(size-o), size
 			}
-			c[j] = x
-			off += 8
+			x = (acc | w<<have) & mask
+			acc = w >> (width - have)
+			have = got - (width - have)
 		}
+		if x >= bound {
+			return 0, fmt.Errorf("ring: residue %d out of range for modulus %d", x, bound)
+		}
+		dst[j] = x
 	}
-	return p, need, nil
+	if acc != 0 {
+		return 0, fmt.Errorf("ring: nonzero padding bits after a packed row")
+	}
+	return size, nil
+}
+
+// PolyWireSize returns the encoded size in bytes of one polynomial of
+// this ring.
+func (r *Ring) PolyWireSize() int {
+	n := 8
+	for _, p := range r.Primes {
+		n += PackedSize(r.N, PackedWidth(p))
+	}
+	return n
+}
+
+// AppendPoly appends the packed encoding of p to buf and returns the
+// extended buffer, growing it at most once.
+func (r *Ring) AppendPoly(buf []byte, p *Poly) []byte {
+	buf = binary.LittleEndian.AppendUint32(slices.Grow(buf, r.PolyWireSize()), uint32(len(r.Primes)))
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(r.N))
+	for i, pr := range r.Primes {
+		buf = AppendPacked(buf, p.Coeffs[i], PackedWidth(pr))
+	}
+	return buf
+}
+
+// ReadPoly decodes one polynomial of this ring from the front of data
+// into p (every coefficient is overwritten, so p may come from
+// GetPolyNoZero) and returns the number of bytes consumed. The shape
+// must match the ring exactly and every residue must be reduced modulo
+// its prime; on error p holds garbage.
+func (r *Ring) ReadPoly(p *Poly, data []byte) (int, error) {
+	if len(data) < 8 {
+		return 0, fmt.Errorf("ring: truncated poly header")
+	}
+	k, n := int(binary.LittleEndian.Uint32(data)), int(binary.LittleEndian.Uint32(data[4:]))
+	if k != len(r.Primes) || n != r.N {
+		return 0, fmt.Errorf("ring: poly of %d primes × degree %d, ring has %d × %d", k, n, len(r.Primes), r.N)
+	}
+	off := 8
+	for i, pr := range r.Primes {
+		m, err := ReadPacked(p.Coeffs[i], data[off:], PackedWidth(pr), pr)
+		if err != nil {
+			return 0, err
+		}
+		off += m
+	}
+	return off, nil
 }

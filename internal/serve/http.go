@@ -8,13 +8,9 @@ import (
 	"net/http"
 	"time"
 
+	"porcupine/internal/bfv"
 	"porcupine/internal/wire"
 )
-
-// maxRequestBody bounds POST /run bodies. The largest legitimate
-// request (PN8192, several degree-1 ciphertext inputs) is a few MiB;
-// 64 MiB leaves an order of magnitude of headroom.
-const maxRequestBody = 64 << 20
 
 // Front is the HTTP front-end over one loaded bundle and its
 // scheduler — the network face of a serving process.
@@ -30,14 +26,16 @@ const maxRequestBody = 64 << 20
 //	POST /run      one wire-encoded Request; responds with the
 //	               wire-encoded output ciphertext
 type Front struct {
-	sched  *Scheduler
-	bundle *wire.Bundle
-	mux    *http.ServeMux
+	sched   *Scheduler
+	bundle  *wire.Bundle
+	mux     *http.ServeMux
+	maxBody int // largest request the plan can carry (wire.RequestSizeBound)
 }
 
 // NewFront builds the HTTP front-end for a bundle served by sched.
 func NewFront(sched *Scheduler, bundle *wire.Bundle) *Front {
 	f := &Front{sched: sched, bundle: bundle, mux: http.NewServeMux()}
+	f.maxBody = wire.RequestSizeBound(bundle.Params, bundle.Plan.NumCtInputs, bundle.Plan.NumPtInputs)
 	f.mux.HandleFunc("GET /healthz", f.healthz)
 	f.mux.HandleFunc("GET /plan", f.plan)
 	f.mux.HandleFunc("GET /stats", f.stats)
@@ -84,50 +82,49 @@ func (f *Front) stats(w http.ResponseWriter, r *http.Request) {
 }
 
 func (f *Front) selftest(w http.ResponseWriter, r *http.Request) {
-	if f.bundle.Sample == nil {
-		writeJSON(w, http.StatusNotFound, map[string]any{
-			"ok": false, "error": "bundle carries no self-test sample",
-		})
-		return
-	}
 	start := time.Now()
-	res := f.sched.Do(Request{
-		Plan: f.bundle.Plan,
-		CtIn: f.bundle.Sample.CtIn,
-		PtIn: f.bundle.Sample.PtIn,
-	})
-	if res.Err != nil {
-		writeJSON(w, http.StatusInternalServerError, map[string]any{
-			"ok": false, "error": res.Err.Error(),
-		})
-		return
-	}
-	identical := f.bundle.Params.CiphertextEqual(res.Out, f.bundle.Expected)
+	identical, err := SelfTest(f.sched, f.bundle)
+	answerSelfTest(w, map[string]any{}, start, identical, err, f.bundle.Sample == nil)
+}
+
+// answerSelfTest writes a self-test result into body and answers: 404
+// for an error when there is nothing to test (notFound), 500 for any
+// other error or a non-bit-identical output — the artifact does not
+// reproduce the exporter's execution, which breaks serving — else 200.
+func answerSelfTest(w http.ResponseWriter, body map[string]any, start time.Time, identical bool, err error, notFound bool) {
 	status := http.StatusOK
-	if !identical {
-		// A non-bit-identical output means the artifact does not
-		// reproduce the exporter's execution — a serving-breaking
-		// condition, not a soft warning.
+	switch {
+	case err != nil && notFound:
+		status = http.StatusNotFound
+	case err != nil || !identical:
 		status = http.StatusInternalServerError
 	}
-	writeJSON(w, status, map[string]any{
-		"ok":            identical,
-		"bit_identical": identical,
-		"latency_ms":    float64(time.Since(start).Microseconds()) / 1000.0,
-	})
+	body["ok"] = err == nil && identical
+	if err != nil {
+		body["error"] = err.Error()
+	} else {
+		body["bit_identical"] = identical
+		body["latency_ms"] = float64(time.Since(start).Microseconds()) / 1000.0
+	}
+	writeJSON(w, status, body)
 }
 
 func (f *Front) run(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
-	if err != nil {
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
+	serveRun(w, r, f.bundle.Params, f.maxBody, func(req *wire.Request) Result {
+		return f.sched.Do(Request{Plan: f.bundle.Plan, CtIn: req.CtIn, PtIn: req.PtIn})
+	})
+}
+
+// serveRun is both fronts' run endpoint: read and decode the body,
+// execute it through do, answer with the encoded output. The decoded
+// inputs go back to the ring pool once the run has ended, the output
+// once it is encoded.
+func serveRun(w http.ResponseWriter, r *http.Request, params *bfv.Parameters, limit int, do func(*wire.Request) Result) {
+	body, ok := readBody(w, r, limit)
+	if !ok {
 		return
 	}
-	if len(body) > maxRequestBody {
-		http.Error(w, fmt.Sprintf("request exceeds %d bytes", maxRequestBody), http.StatusRequestEntityTooLarge)
-		return
-	}
-	req, err := wire.DecodeRequest(f.bundle.Params, body)
+	req, err := wire.DecodeRequest(params, body)
 	if err != nil {
 		status := http.StatusBadRequest
 		if errors.Is(err, wire.ErrFingerprint) {
@@ -138,7 +135,10 @@ func (f *Front) run(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), status)
 		return
 	}
-	res := f.sched.Do(Request{Plan: f.bundle.Plan, CtIn: req.CtIn, PtIn: req.PtIn})
+	res := do(req)
+	for _, ct := range req.CtIn {
+		params.RecycleCiphertext(ct)
+	}
 	if res.Err != nil {
 		status := http.StatusInternalServerError
 		if errors.Is(res.Err, ErrClosed) {
@@ -150,12 +150,45 @@ func (f *Front) run(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, res.Err.Error(), status)
 		return
 	}
-	out, err := wire.EncodeResponse(f.bundle.Params, res.Out)
+	out, err := wire.EncodeResponse(params, res.Out)
+	params.RecycleCiphertext(res.Out)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("X-Porcupine-Latency", res.Latency.String())
+	if res.Lanes >= 2 {
+		w.Header().Set("X-Porcupine-Lanes", fmt.Sprint(res.Lanes))
+	}
 	w.Write(out)
+}
+
+// readBody reads a body of at most limit bytes into one buffer sized
+// from Content-Length. A longer declared length is a 413 before any
+// read, an undeclared one overrunning limit a 413 too, a body shorter
+// than declared a 400; on refusal it answers and reports false.
+func readBody(w http.ResponseWriter, r *http.Request, limit int) ([]byte, bool) {
+	if r.ContentLength > int64(limit) {
+		http.Error(w, fmt.Sprintf("request of %d bytes exceeds the %d bytes the served plans can carry", r.ContentLength, limit), http.StatusRequestEntityTooLarge)
+		return nil, false
+	}
+	src := http.MaxBytesReader(w, r.Body, int64(limit))
+	var body []byte
+	var err error
+	if r.ContentLength >= 0 {
+		body = make([]byte, r.ContentLength)
+		_, err = io.ReadFull(src, body)
+	} else {
+		body, err = io.ReadAll(src)
+	}
+	if err != nil {
+		status := http.StatusBadRequest
+		if tooLarge := (*http.MaxBytesError)(nil); errors.As(err, &tooLarge) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, "reading body: "+err.Error(), status)
+		return nil, false
+	}
+	return body, true
 }

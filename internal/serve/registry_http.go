@@ -1,9 +1,7 @@
 package serve
 
 import (
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -27,14 +25,19 @@ import (
 //	                         kernel; responds with the wire-encoded
 //	                         output ciphertext
 type RegistryFront struct {
-	cat    *Catalog
-	preset string
-	mux    *http.ServeMux
+	cat     *Catalog
+	preset  string
+	mux     *http.ServeMux
+	maxBody int // largest request any hosted plan can carry (wire.RequestSizeBound)
 }
 
 // NewRegistryFront builds the multi-kernel HTTP front-end.
 func NewRegistryFront(cat *Catalog, preset string) *RegistryFront {
 	f := &RegistryFront{cat: cat, preset: preset, mux: http.NewServeMux()}
+	for _, name := range cat.Kernels() {
+		p := cat.Entry(name).Plan
+		f.maxBody = max(f.maxBody, wire.RequestSizeBound(cat.Ctx.Params, p.NumCtInputs, p.NumPtInputs))
+	}
 	f.mux.HandleFunc("GET /healthz", f.healthz)
 	f.mux.HandleFunc("GET /kernels", f.kernels)
 	f.mux.HandleFunc("GET /stats", f.stats)
@@ -90,26 +93,7 @@ func (f *RegistryFront) selftest(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("kernel")
 	start := time.Now()
 	identical, err := f.cat.SelfTest(name)
-	if err != nil {
-		status := http.StatusInternalServerError
-		if f.cat.Entry(name) == nil {
-			status = http.StatusNotFound
-		}
-		writeJSON(w, status, map[string]any{"ok": false, "kernel": name, "error": err.Error()})
-		return
-	}
-	status := http.StatusOK
-	if !identical {
-		// Non-bit-identical output means the artifact does not
-		// reproduce the exporter's execution — serving-breaking.
-		status = http.StatusInternalServerError
-	}
-	writeJSON(w, status, map[string]any{
-		"ok":            identical,
-		"kernel":        name,
-		"bit_identical": identical,
-		"latency_ms":    float64(time.Since(start).Microseconds()) / 1000.0,
-	})
+	answerSelfTest(w, map[string]any{"kernel": name}, start, identical, err, f.cat.Entry(name) == nil)
 }
 
 func (f *RegistryFront) run(w http.ResponseWriter, r *http.Request) {
@@ -119,47 +103,7 @@ func (f *RegistryFront) run(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("unknown kernel %q", name), http.StatusNotFound)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxRequestBody+1))
-	if err != nil {
-		http.Error(w, "reading body: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	if len(body) > maxRequestBody {
-		http.Error(w, fmt.Sprintf("request exceeds %d bytes", maxRequestBody), http.StatusRequestEntityTooLarge)
-		return
-	}
-	req, err := wire.DecodeRequest(f.cat.Ctx.Params, body)
-	if err != nil {
-		status := http.StatusBadRequest
-		if errors.Is(err, wire.ErrFingerprint) {
-			// The client encrypted under different parameters; its
-			// request can never run here.
-			status = http.StatusConflict
-		}
-		http.Error(w, err.Error(), status)
-		return
-	}
-	res := f.cat.Do(name, req.CtIn, req.PtIn)
-	if res.Err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(res.Err, ErrClosed) {
-			status = http.StatusServiceUnavailable
-		} else {
-			// Shape errors (wrong input counts) are the client's fault.
-			status = http.StatusBadRequest
-		}
-		http.Error(w, res.Err.Error(), status)
-		return
-	}
-	out, err := wire.EncodeResponse(f.cat.Ctx.Params, res.Out)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("X-Porcupine-Latency", res.Latency.String())
-	if res.Lanes >= 2 {
-		w.Header().Set("X-Porcupine-Lanes", fmt.Sprint(res.Lanes))
-	}
-	w.Write(out)
+	serveRun(w, r, f.cat.Ctx.Params, f.maxBody, func(req *wire.Request) Result {
+		return f.cat.Do(name, req.CtIn, req.PtIn)
+	})
 }

@@ -1,5 +1,5 @@
-// Registry: the wire-v5 multi-kernel serving artifact. One envelope
-// carries a manifest of named plans compiled for ONE parameter set,
+// Registry: the multi-kernel serving artifact. One envelope carries a
+// manifest of named plans compiled for ONE parameter set,
 // with a single shared key-material section (relinearization key plus
 // the union Galois set every plan — and every mux lane geometry —
 // needs), so a serving process hosts the whole kernel suite from one
@@ -9,8 +9,6 @@ package wire
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"porcupine/internal/bfv"
 	"porcupine/internal/plan"
@@ -71,65 +69,37 @@ func (reg *Registry) Kernels() []string {
 // are required; every entry needs a name and a plan, and each entry's
 // Sample/Expected must come together.
 func (reg *Registry) Encode() ([]byte, error) {
-	return reg.encode(Version)
-}
-
-// encode writes the registry in an explicit format version. Only the
-// current Version is written by production code; older versions exist
-// for the compatibility tests, which fabricate byte-exact artifacts of
-// earlier formats. Registries are new in v5, and per-plan encoding
-// enforces the plan-feature floor (shared groups need v6).
-func (reg *Registry) encode(ver byte) ([]byte, error) {
-	if ver < 5 {
-		return nil, fmt.Errorf("wire: registries need format version 5, cannot encode as %d", ver)
-	}
 	if reg.Params == nil || reg.Relin == nil || reg.Galois == nil {
 		return nil, fmt.Errorf("wire: registry needs params, relin and galois keys")
 	}
 	if len(reg.Entries) == 0 {
 		return nil, fmt.Errorf("wire: registry carries no kernels")
 	}
-	w := newWriter(ver, tagRegistry)
-	fp := reg.Params.Fingerprint()
-	w.buf = append(w.buf, fp[:]...)
-	w.str(reg.Preset)
-	if err := w.blob(reg.Params.MarshalBinary()); err != nil {
-		return nil, err
-	}
-	w.u32(uint32(len(reg.Entries)))
-	for i := range reg.Entries {
-		e := &reg.Entries[i]
-		if e.Name == "" || e.Plan == nil {
-			return nil, fmt.Errorf("wire: registry entry %d needs a name and a plan", i)
-		}
-		if (e.Sample == nil) != (e.Expected == nil) {
-			return nil, fmt.Errorf("wire: registry entry %q: self-test sample and expected output must come together", e.Name)
-		}
-		w.str(e.Name)
-		if err := encodePlan(w, e.Plan, ver); err != nil {
-			return nil, err
-		}
-		w.u32(uint32(e.MuxStride))
-		w.u32(uint32(e.MuxLanes))
-		if e.Sample == nil {
-			w.u8(0)
-		} else {
-			w.u8(1)
-			if err := encodeRequestBody(w, e.Sample); err != nil {
-				return nil, err
+	return encode(reg.Params, tagRegistry, func(w *writer) error {
+		w.fingerprint()
+		w.str(reg.Preset)
+		w.obj(reg.Params)
+		w.u32(uint32(len(reg.Entries)))
+		for i := range reg.Entries {
+			e := &reg.Entries[i]
+			if e.Name == "" || e.Plan == nil {
+				return fmt.Errorf("wire: registry entry %d needs a name and a plan", i)
 			}
-			if err := w.blob(e.Expected.MarshalBinary()); err != nil {
-				return nil, err
+			if (e.Sample == nil) != (e.Expected == nil) {
+				return fmt.Errorf("wire: registry entry %q: self-test sample and expected output must come together", e.Name)
 			}
+			w.str(e.Name)
+			if err := encodePlan(w, e.Plan); err != nil {
+				return err
+			}
+			w.u32(uint32(e.MuxStride))
+			w.u32(uint32(e.MuxLanes))
+			encodeSample(w, e.Sample, e.Expected)
 		}
-	}
-	if err := w.blob(reg.Relin.MarshalBinary()); err != nil {
-		return nil, err
-	}
-	if err := w.blob(reg.Galois.MarshalBinary()); err != nil {
-		return nil, err
-	}
-	return w.finish(), nil
+		w.obj(reg.Relin)
+		w.obj(reg.Galois)
+		return nil
+	})
 }
 
 // DecodeRegistry decodes and fully validates a registry: envelope
@@ -139,33 +109,18 @@ func (reg *Registry) encode(ver byte) ([]byte, error) {
 // analysis, Galois coverage of every plan rotation AND every mux
 // pack/demux rotation, and per-entry self-test shape.
 func DecodeRegistry(data []byte) (*Registry, error) {
-	r, err := open(data, tagRegistry)
+	r, err := open(data, tagRegistry, nil)
 	if err != nil {
 		return nil, err
 	}
-	if r.ver < 5 {
-		return nil, fmt.Errorf("%w: registries need format version 5, envelope says %d", ErrVersion, r.ver)
+	fp, err := r.fingerprint()
+	if err != nil {
+		return nil, err
 	}
-	var fp [16]byte
-	if r.off+16 > len(r.buf) {
-		return nil, fmt.Errorf("%w: payload ends mid-fingerprint", ErrInvalid)
-	}
-	copy(fp[:], r.buf[r.off:])
-	r.off += 16
-
 	reg := &Registry{Preset: r.str()}
-	paramsBlob := r.bytes()
-	if r.err != nil {
-		return nil, r.err
+	if reg.Params, err = r.params(fp); err != nil {
+		return nil, err
 	}
-	if reg.Params, err = bfv.UnmarshalParameters(paramsBlob); err != nil {
-		return nil, fmt.Errorf("%w: parameters: %v", ErrInvalid, err)
-	}
-	if reg.Params.Fingerprint() != fp {
-		return nil, fmt.Errorf("%w: header %x, decoded parameters %x", ErrFingerprint, fp, reg.Params.Fingerprint())
-	}
-	slots := reg.Params.SlotCount()
-
 	nEntries := r.count(1)
 	if r.err == nil && nEntries == 0 {
 		return nil, fmt.Errorf("%w: registry manifest is empty", ErrInvalid)
@@ -197,43 +152,30 @@ func DecodeRegistry(data []byte) (*Registry, error) {
 		case e.MuxStride == 0 || e.MuxLanes == 0:
 			return nil, fmt.Errorf("%w: registry entry %q: half-set mux geometry stride=%d lanes=%d", ErrInvalid, e.Name, e.MuxStride, e.MuxLanes)
 		default:
-			if err := plan.ValidateMux(e.Plan, slots, e.MuxStride, e.MuxLanes); err != nil {
+			if err := plan.ValidateMux(e.Plan, reg.Params.SlotCount(), e.MuxStride, e.MuxLanes); err != nil {
 				return nil, fmt.Errorf("%w: registry entry %q: %v", ErrInvalid, e.Name, err)
 			}
 		}
-		if r.u8() == 1 {
-			if e.Sample, err = decodeRequestBody(r, reg.Params); err != nil {
-				return nil, fmt.Errorf("registry entry %q: %w", e.Name, err)
-			}
-			if e.Expected, err = unmarshalCiphertext(reg.Params, r.bytes(), r.err); err != nil {
-				return nil, fmt.Errorf("registry entry %q: %w", e.Name, err)
-			}
-			if len(e.Sample.CtIn) != e.Plan.NumCtInputs || len(e.Sample.PtIn) != e.Plan.NumPtInputs {
-				return nil, fmt.Errorf("%w: registry entry %q: self-test sample has %d ct / %d pt inputs, plan wants %d / %d",
-					ErrInvalid, e.Name, len(e.Sample.CtIn), len(e.Sample.PtIn), e.Plan.NumCtInputs, e.Plan.NumPtInputs)
-			}
+		if e.Sample, e.Expected, err = decodeSample(r, reg.Params, e.Plan); err != nil {
+			return nil, fmt.Errorf("registry entry %q: %w", e.Name, err)
 		}
 		reg.Entries = append(reg.Entries, e)
 	}
-	if reg.Relin, err = unmarshalRelin(reg.Params, r.bytes(), r.err); err != nil {
+	if reg.Relin, err = section(r, "relinearization key", reg.Params.UnmarshalRelinearizationKey); err != nil {
 		return nil, err
 	}
-	if reg.Galois, err = unmarshalGalois(reg.Params, r.bytes(), r.err); err != nil {
+	if reg.Galois, err = section(r, "galois keys", reg.Params.UnmarshalGaloisKeys); err != nil {
 		return nil, err
 	}
-	for i := range reg.Entries {
-		e := &reg.Entries[i]
-		for _, rot := range e.Plan.Rotations {
-			if g := reg.Params.GaloisElement(rot); g != 1 && !reg.Galois.HasElement(g) {
-				return nil, fmt.Errorf("%w: entry %q needs rotation %d (element %d) but the registry carries no key for it", ErrInvalid, e.Name, rot, g)
-			}
+	for _, e := range reg.Entries {
+		if rot, ok := uncovered(reg.Params, reg.Galois, e.Plan.Rotations); ok {
+			return nil, fmt.Errorf("%w: entry %q needs rotation %d but the registry carries no key for it", ErrInvalid, e.Name, rot)
 		}
-		if e.MuxLanes >= 2 {
-			for _, rot := range plan.MuxRotations(e.MuxStride, e.MuxLanes) {
-				if g := reg.Params.GaloisElement(rot); g != 1 && !reg.Galois.HasElement(g) {
-					return nil, fmt.Errorf("%w: entry %q mux geometry needs rotation %d (element %d) but the registry carries no key for it", ErrInvalid, e.Name, rot, g)
-				}
-			}
+		if e.MuxLanes < 2 {
+			continue
+		}
+		if rot, ok := uncovered(reg.Params, reg.Galois, plan.MuxRotations(e.MuxStride, e.MuxLanes)); ok {
+			return nil, fmt.Errorf("%w: entry %q mux geometry needs rotation %d but the registry carries no key for it", ErrInvalid, e.Name, rot)
 		}
 	}
 	if err := r.done(); err != nil {
@@ -243,35 +185,7 @@ func DecodeRegistry(data []byte) (*Registry, error) {
 }
 
 // WriteFile atomically writes the encoded registry to path.
-func (reg *Registry) WriteFile(path string) error {
-	data, err := reg.Encode()
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".registry-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
+func (reg *Registry) WriteFile(path string) error { return writeFile(path, reg.Encode) }
 
 // ReadRegistryFile reads and decodes a registry written by WriteFile.
-func ReadRegistryFile(path string) (*Registry, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	reg, err := DecodeRegistry(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return reg, nil
-}
+func ReadRegistryFile(path string) (*Registry, error) { return readFile(path, DecodeRegistry) }

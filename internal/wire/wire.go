@@ -1,38 +1,39 @@
-// Package wire is the versioned, checksummed binary format that moves
-// compiled serving artifacts between processes: an execution plan
-// together with the exact public key material it declares (the
-// relinearization key and the canonical Galois set), pinned to a
-// parameter fingerprint.
+// Package wire is the checksummed binary format that moves compiled
+// serving artifacts between processes: an execution plan together with
+// the exact public key material it declares (the relinearization key
+// and the canonical Galois set), pinned to a parameter fingerprint.
 //
 // The deployment model follows the paper's Figure 1 split, extended
 // across processes: one process compiles a kernel, builds keys, and
 // exports a Bundle; any number of serving processes load the bundle
 // and execute the plan bit-identically, without ever holding the
-// secret key (bundles carry no secret or public encryption key — only
-// evaluation keys, which are public by construction). Requests and
-// responses between a client and a serving process use the same
-// envelope with their own tags.
+// secret key (bundles carry only evaluation keys, which are public by
+// construction). Requests and responses between a client and a serving
+// process use the same envelope with their own tags.
 //
 // Envelope layout (little-endian):
 //
 //	magic "PCPN" | version u8 | tag u8 | payloadLen u64 | payload | sha256(all preceding bytes)
 //
-// Decoding is strict and total: truncation, bit flips, foreign or
-// future-versioned data, and semantically malformed payloads (a plan
-// indexing a register it never allocated, a residue outside its prime,
-// an undeclared rotation) all yield typed errors — never a panic, and
-// never an object that would fail later inside a session's execution
-// loop. The error classes are ErrMagic, ErrVersion, ErrTag,
-// ErrTruncated, ErrChecksum, ErrFingerprint and ErrInvalid; match with
-// errors.Is.
+// The payload embeds bfv objects as length-prefixed sections in bfv's
+// own encoding, whose polynomial rows are bit-packed at ⌈log₂ p_i⌉ bits
+// per residue (internal/ring). A request ciphertext fresh from the
+// keyholder's secret-key encryption travels seeded, as c0 plus the
+// 32-byte seed its uniform c1 expands to, and DecodeRequest expands it
+// again; every other ciphertext carries all its polynomials. Encoders
+// append into one buffer allocated at the envelope's exact size;
+// decoders place ciphertexts in ring-pool polynomials.
 //
-// The byte-level writer/reader here intentionally does not share
-// internal/bfv's object serializer: bfv encodes self-describing
-// per-object blobs (own magic/version, untyped errors) that this
-// envelope embeds as opaque sections, while this layer adds
-// envelope-wide checksumming, count pre-validation before allocation,
-// and errors.Is-typed failures. Both delegate polynomial bytes to the
-// one shared codec in internal/ring.
+// Version 7 is the one version this build reads and writes: any other
+// fails with ErrVersion (artifacts are cheap to re-export). Decoding is
+// strict and total: truncation, bit flips, foreign data, and
+// semantically malformed payloads (a plan indexing a register it never
+// allocated, a residue outside its prime, an undeclared rotation) all
+// yield typed errors — never a panic, and never an object that would
+// fail later inside a session's execution loop. The error classes are
+// ErrMagic, ErrVersion, ErrTag, ErrTruncated, ErrChecksum,
+// ErrFingerprint and ErrInvalid; match with errors.Is. Encodings are
+// canonical: a decoded object re-encodes to the same bytes.
 package wire
 
 import (
@@ -43,6 +44,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"porcupine/internal/bfv"
 	"porcupine/internal/plan"
@@ -51,31 +53,12 @@ import (
 
 const (
 	magic = "PCPN"
-	// Version is the wire-format version this build writes. Version 2
-	// added hoisted rotation fan-out groups to the plan section (a
-	// per-step fan list); version 3 added one domain byte per register
-	// (coefficient vs NTT residency) plus the OpNTT/OpINTT conversion
-	// steps that domain-assigned plans carry; version 4 added
-	// cross-source batched rotation groups (a per-step batch member
-	// list); version 5 added the multi-kernel Registry object (a
-	// manifest of named plans sharing one parameter fingerprint and one
-	// key-material section, each entry carrying its slot-multiplexing
-	// lane geometry); version 6 added double-hoisted shared rotation
-	// groups (a per-step member list carrying each member's
-	// decomposition slot and fill flag — per-session state earlier
-	// formats cannot express). Decoders accept MinVersion..Version: a
-	// v1 bundle simply decodes to a plan of plain steps, a v2 bundle to
-	// an all-coefficient plan, a v3 bundle to a plan without batched
-	// groups, and a v4/v5 artifact to a plan without shared groups —
-	// all execute bit-identically (hoisting, residency, batching and
-	// sharing are schedule choices, not semantic ones). Prepared NTT
-	// operand forms are derived at decode time, never serialized.
-	// Registries are new in v5, so a registry envelope stamped with an
-	// earlier version byte is rejected; single-plan bundles of every
-	// prior version keep loading unchanged. Future versions are
-	// rejected — artifacts are cheap to re-export.
-	Version    = 6
-	MinVersion = 1
+	// Version is the one wire-format version this build reads and
+	// writes: v7 bit-packs residue rows and carries fresh ciphertexts
+	// seeded; its plan section is v6's. Prepared NTT operand forms are
+	// derived at decode time, never serialized.
+	Version    = 7
+	MinVersion = Version
 )
 
 const (
@@ -127,28 +110,52 @@ type Request struct {
 
 // ---- encoder ----
 
-type writer struct{ buf []byte }
-
-func newWriter(ver, tag byte) *writer {
-	w := &writer{buf: make([]byte, 0, 1<<16)}
-	w.buf = append(w.buf, magic...)
-	w.buf = append(w.buf, ver, tag)
-	// payloadLen placeholder, patched in finish.
-	w.buf = binary.LittleEndian.AppendUint64(w.buf, 0)
-	return w
+// writer appends one envelope's payload; a sizing writer (nil buf)
+// only counts the bytes (see encode).
+type writer struct {
+	buf    []byte
+	n      int             // bytes counted by a sizing writer
+	params *bfv.Parameters // the parameter set bfv objects encode under
 }
 
-func (w *writer) u8(v byte)    { w.buf = append(w.buf, v) }
-func (w *writer) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
-func (w *writer) u64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
-func (w *writer) i64(v int64)  { w.u64(uint64(v)) }
-
-func (w *writer) bytes(b []byte) {
-	w.u32(uint32(len(b)))
-	w.buf = append(w.buf, b...)
+// put reserves the next n bytes for filling (nil when sizing).
+func (w *writer) put(n int) []byte {
+	if w.buf == nil {
+		w.n += n
+		return nil
+	}
+	w.buf = slices.Grow(w.buf, n)[:len(w.buf)+n]
+	return w.buf[len(w.buf)-n:]
 }
 
-func (w *writer) str(s string) { w.bytes([]byte(s)) }
+func (w *writer) raw(b []byte) {
+	if p := w.put(len(b)); p != nil {
+		copy(p, b)
+	}
+}
+
+func (w *writer) u8(v byte) { w.raw([]byte{v}) }
+
+func (w *writer) u32(v uint32) {
+	if p := w.put(4); p != nil {
+		binary.LittleEndian.PutUint32(p, v)
+	}
+}
+
+func (w *writer) u64(v uint64) {
+	if p := w.put(8); p != nil {
+		binary.LittleEndian.PutUint64(p, v)
+	}
+}
+
+func (w *writer) i64(v int64) { w.u64(uint64(v)) }
+
+func (w *writer) str(s string) {
+	w.u32(uint32(len(s)))
+	if p := w.put(len(s)); p != nil {
+		copy(p, s)
+	}
+}
 
 func (w *writer) u64s(v []uint64) {
 	w.u32(uint32(len(v)))
@@ -157,20 +164,38 @@ func (w *writer) u64s(v []uint64) {
 	}
 }
 
-// blob writes the output of a bfv MarshalBinary call.
-func (w *writer) blob(b []byte, err error) error {
-	if err != nil {
-		return err
+// obj writes a length-prefixed bfv object.
+func (w *writer) obj(o bfv.Object) {
+	n := w.params.BinarySize(o)
+	w.u32(uint32(n))
+	if p := w.put(n); p != nil {
+		w.params.AppendBinary(p[:0], o)
 	}
-	w.bytes(b)
-	return nil
 }
 
-// finish patches the payload length and appends the checksum.
-func (w *writer) finish() []byte {
-	binary.LittleEndian.PutUint64(w.buf[6:], uint64(len(w.buf)-headerLen))
+// fingerprint writes the parameter fingerprint every object leads with.
+func (w *writer) fingerprint() {
+	fp := w.params.Fingerprint()
+	w.raw(fp[:])
+}
+
+// encode builds one envelope of the given tag around body's payload:
+// body runs once to size the payload and once to write it into a
+// buffer allocated at exactly the envelope's size, checksum included.
+func encode(params *bfv.Parameters, tag byte, body func(*writer) error) ([]byte, error) {
+	size := &writer{params: params}
+	if err := body(size); err != nil {
+		return nil, err
+	}
+	w := &writer{buf: make([]byte, headerLen, headerLen+size.n+sumLen), params: params}
+	copy(w.buf, magic)
+	w.buf[4], w.buf[5] = Version, tag
+	binary.LittleEndian.PutUint64(w.buf[6:], uint64(size.n))
+	if err := body(w); err != nil {
+		return nil, err
+	}
 	sum := sha256.Sum256(w.buf)
-	return append(w.buf, sum[:]...)
+	return append(w.buf, sum[:]...), nil
 }
 
 const headerLen = 4 + 1 + 1 + 8 // magic, version, tag, payloadLen
@@ -181,29 +206,28 @@ const sumLen = sha256.Size
 type reader struct {
 	buf []byte // payload only
 	off int
-	ver byte // envelope version (MinVersion..Version)
 	err error
 }
 
 // open validates the envelope (magic, version, tag, length, checksum)
-// and returns a reader over the payload.
-func open(data []byte, wantTag byte) (*reader, error) {
+// and returns a reader over the payload. A request or response names
+// the serving parameters, whose fingerprint its payload must lead with.
+func open(data []byte, wantTag byte, params *bfv.Parameters) (*reader, error) {
 	if len(data) < headerLen {
 		return nil, fmt.Errorf("%w: %d bytes is shorter than the %d-byte header", ErrTruncated, len(data), headerLen)
 	}
 	if string(data[:4]) != magic {
 		return nil, ErrMagic
 	}
-	v := data[4]
-	if v < MinVersion || v > Version {
-		return nil, fmt.Errorf("%w: got version %d, this build reads versions %d-%d", ErrVersion, v, MinVersion, Version)
+	if v := data[4]; v < MinVersion || v > Version {
+		return nil, fmt.Errorf("%w: got version %d, this build reads version %d", ErrVersion, v, Version)
 	}
 	if tag := data[5]; tag != wantTag {
 		return nil, fmt.Errorf("%w: object tag %d, want %d", ErrTag, tag, wantTag)
 	}
 	payloadLen := binary.LittleEndian.Uint64(data[6:])
 	want := headerLen + payloadLen + sumLen
-	if uint64(len(data)) < want {
+	if payloadLen > uint64(len(data)) || uint64(len(data)) < want {
 		return nil, fmt.Errorf("%w: %d bytes, envelope declares %d", ErrTruncated, len(data), want)
 	}
 	if uint64(len(data)) > want {
@@ -214,7 +238,17 @@ func open(data []byte, wantTag byte) (*reader, error) {
 	if subtle.ConstantTimeCompare(sum[:], data[headerLen+payloadLen:]) != 1 {
 		return nil, ErrChecksum
 	}
-	return &reader{buf: data[headerLen : headerLen+payloadLen], ver: v}, nil
+	r := &reader{buf: data[headerLen : headerLen+payloadLen]}
+	if params != nil {
+		fp, err := r.fingerprint()
+		if err == nil && fp != params.Fingerprint() {
+			err = fmt.Errorf("%w: object built for %x, serving parameters are %x", ErrFingerprint, fp, params.Fingerprint())
+		}
+		if err != nil {
+			return nil, err
+		}
+	}
+	return r, nil
 }
 
 func (r *reader) fail() {
@@ -225,34 +259,35 @@ func (r *reader) fail() {
 	}
 }
 
-func (r *reader) u8() byte {
-	if r.err != nil || r.off+1 > len(r.buf) {
+// take consumes the next n payload bytes, or fails the reader.
+func (r *reader) take(n int) []byte {
+	if r.err != nil || n < 0 || n > len(r.buf)-r.off {
 		r.fail()
-		return 0
+		return nil
 	}
-	v := r.buf[r.off]
-	r.off++
-	return v
+	r.off += n
+	return r.buf[r.off-n : r.off]
+}
+
+func (r *reader) u8() byte {
+	if b := r.take(1); b != nil {
+		return b[0]
+	}
+	return 0
 }
 
 func (r *reader) u32() uint32 {
-	if r.err != nil || r.off+4 > len(r.buf) {
-		r.fail()
-		return 0
+	if b := r.take(4); b != nil {
+		return binary.LittleEndian.Uint32(b)
 	}
-	v := binary.LittleEndian.Uint32(r.buf[r.off:])
-	r.off += 4
-	return v
+	return 0
 }
 
 func (r *reader) u64() uint64 {
-	if r.err != nil || r.off+8 > len(r.buf) {
-		r.fail()
-		return 0
+	if b := r.take(8); b != nil {
+		return binary.LittleEndian.Uint64(b)
 	}
-	v := binary.LittleEndian.Uint64(r.buf[r.off:])
-	r.off += 8
-	return v
+	return 0
 }
 
 func (r *reader) i64() int64 { return int64(r.u64()) }
@@ -271,15 +306,7 @@ func (r *reader) count(elemSize int) int {
 	return n
 }
 
-func (r *reader) bytes() []byte {
-	n := r.count(1)
-	if r.err != nil {
-		return nil
-	}
-	v := r.buf[r.off : r.off+n]
-	r.off += n
-	return v
-}
+func (r *reader) bytes() []byte { return r.take(r.count(1)) }
 
 func (r *reader) str() string { return string(r.bytes()) }
 
@@ -310,49 +337,37 @@ func (r *reader) done() error {
 // Encode serializes the bundle. Params, Plan, Relin and Galois are
 // required; Sample/Expected must be both present or both absent.
 func (b *Bundle) Encode() ([]byte, error) {
-	return b.encode(Version)
-}
-
-// encode writes the bundle in an explicit format version. Only the
-// current Version is written by production code; older versions exist
-// so tests can fabricate byte-exact artifacts of earlier builds and
-// prove they still load (a v1 plan cannot carry hoisted steps).
-func (b *Bundle) encode(ver byte) ([]byte, error) {
 	if b.Params == nil || b.Plan == nil || b.Relin == nil || b.Galois == nil {
 		return nil, fmt.Errorf("wire: bundle needs params, plan, relin and galois keys")
 	}
 	if (b.Sample == nil) != (b.Expected == nil) {
 		return nil, fmt.Errorf("wire: self-test sample and expected output must come together")
 	}
-	w := newWriter(ver, tagBundle)
-	fp := b.Params.Fingerprint()
-	w.buf = append(w.buf, fp[:]...)
-	w.str(b.Name)
-	w.str(b.Preset)
-	if err := w.blob(b.Params.MarshalBinary()); err != nil {
-		return nil, err
-	}
-	if err := encodePlan(w, b.Plan, ver); err != nil {
-		return nil, err
-	}
-	if err := w.blob(b.Relin.MarshalBinary()); err != nil {
-		return nil, err
-	}
-	if err := w.blob(b.Galois.MarshalBinary()); err != nil {
-		return nil, err
-	}
-	if b.Sample == nil {
+	return encode(b.Params, tagBundle, func(w *writer) error {
+		w.fingerprint()
+		w.str(b.Name)
+		w.str(b.Preset)
+		w.obj(b.Params)
+		if err := encodePlan(w, b.Plan); err != nil {
+			return err
+		}
+		w.obj(b.Relin)
+		w.obj(b.Galois)
+		encodeSample(w, b.Sample, b.Expected)
+		return nil
+	})
+}
+
+// encodeSample writes an optional self-test: a presence byte, then the
+// sample request and the expected output (see decodeSample).
+func encodeSample(w *writer, sample *Request, expected *bfv.Ciphertext) {
+	if sample == nil {
 		w.u8(0)
-	} else {
-		w.u8(1)
-		if err := encodeRequestBody(w, b.Sample); err != nil {
-			return nil, err
-		}
-		if err := w.blob(b.Expected.MarshalBinary()); err != nil {
-			return nil, err
-		}
+		return
 	}
-	return w.finish(), nil
+	w.u8(1)
+	encodeRequestBody(w, sample)
+	w.obj(expected)
 }
 
 // DecodeBundle decodes and fully validates a bundle: envelope
@@ -360,53 +375,32 @@ func (b *Bundle) encode(ver byte) ([]byte, error) {
 // (plan.Validate), Galois coverage of every declared rotation, and
 // self-test shape.
 func DecodeBundle(data []byte) (*Bundle, error) {
-	r, err := open(data, tagBundle)
+	r, err := open(data, tagBundle, nil)
 	if err != nil {
 		return nil, err
 	}
-	var fp [16]byte
-	if r.off+16 > len(r.buf) {
-		return nil, fmt.Errorf("%w: payload ends mid-fingerprint", ErrInvalid)
+	fp, err := r.fingerprint()
+	if err != nil {
+		return nil, err
 	}
-	copy(fp[:], r.buf[r.off:])
-	r.off += 16
-
 	b := &Bundle{Name: r.str(), Preset: r.str()}
-	paramsBlob := r.bytes()
-	if r.err != nil {
-		return nil, r.err
-	}
-	if b.Params, err = bfv.UnmarshalParameters(paramsBlob); err != nil {
-		return nil, fmt.Errorf("%w: parameters: %v", ErrInvalid, err)
-	}
-	if b.Params.Fingerprint() != fp {
-		return nil, fmt.Errorf("%w: header %x, decoded parameters %x", ErrFingerprint, fp, b.Params.Fingerprint())
+	if b.Params, err = r.params(fp); err != nil {
+		return nil, err
 	}
 	if b.Plan, err = decodePlan(r, b.Params); err != nil {
 		return nil, err
 	}
-	if b.Relin, err = unmarshalRelin(b.Params, r.bytes(), r.err); err != nil {
+	if b.Relin, err = section(r, "relinearization key", b.Params.UnmarshalRelinearizationKey); err != nil {
 		return nil, err
 	}
-	if b.Galois, err = unmarshalGalois(b.Params, r.bytes(), r.err); err != nil {
+	if b.Galois, err = section(r, "galois keys", b.Params.UnmarshalGaloisKeys); err != nil {
 		return nil, err
 	}
-	for _, rot := range b.Plan.Rotations {
-		if g := b.Params.GaloisElement(rot); g != 1 && !b.Galois.HasElement(g) {
-			return nil, fmt.Errorf("%w: plan needs rotation %d (element %d) but the bundle carries no key for it", ErrInvalid, rot, g)
-		}
+	if rot, ok := uncovered(b.Params, b.Galois, b.Plan.Rotations); ok {
+		return nil, fmt.Errorf("%w: plan needs rotation %d but the bundle carries no key for it", ErrInvalid, rot)
 	}
-	if r.u8() == 1 {
-		if b.Sample, err = decodeRequestBody(r, b.Params); err != nil {
-			return nil, err
-		}
-		if b.Expected, err = unmarshalCiphertext(b.Params, r.bytes(), r.err); err != nil {
-			return nil, err
-		}
-		if len(b.Sample.CtIn) != b.Plan.NumCtInputs || len(b.Sample.PtIn) != b.Plan.NumPtInputs {
-			return nil, fmt.Errorf("%w: self-test sample has %d ct / %d pt inputs, plan wants %d / %d",
-				ErrInvalid, len(b.Sample.CtIn), len(b.Sample.PtIn), b.Plan.NumCtInputs, b.Plan.NumPtInputs)
-		}
+	if b.Sample, b.Expected, err = decodeSample(r, b.Params, b.Plan); err != nil {
+		return nil, err
 	}
 	if err := r.done(); err != nil {
 		return nil, err
@@ -415,12 +409,18 @@ func DecodeBundle(data []byte) (*Bundle, error) {
 }
 
 // WriteFile atomically writes the encoded bundle to path.
-func (b *Bundle) WriteFile(path string) error {
-	data, err := b.Encode()
+func (b *Bundle) WriteFile(path string) error { return writeFile(path, b.Encode) }
+
+// ReadBundleFile reads and decodes a bundle written by WriteFile.
+func ReadBundleFile(path string) (*Bundle, error) { return readFile(path, DecodeBundle) }
+
+// writeFile atomically writes what encode returns to path.
+func writeFile(path string, encode func() ([]byte, error)) error {
+	data, err := encode()
 	if err != nil {
 		return err
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".bundle-*")
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
 	if err != nil {
 		return err
 	}
@@ -435,36 +435,25 @@ func (b *Bundle) WriteFile(path string) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// ReadBundleFile reads and decodes a bundle written by WriteFile.
-func ReadBundleFile(path string) (*Bundle, error) {
+// readFile reads path and decodes it, naming the file in errors.
+func readFile[T any](path string, decode func([]byte) (T, error)) (T, error) {
 	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+	if err == nil {
+		var v T
+		if v, err = decode(data); err == nil {
+			return v, nil
+		}
+		err = fmt.Errorf("%s: %w", path, err)
 	}
-	b, err := DecodeBundle(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return b, nil
+	var zero T
+	return zero, err
 }
 
 // ---- plan section ----
 
-func encodePlan(w *writer, p *plan.ExecutionPlan, ver byte) error {
+func encodePlan(w *writer, p *plan.ExecutionPlan) error {
 	if p.Source == nil {
 		return fmt.Errorf("wire: plan has no source program")
-	}
-	if groups, _ := p.HoistedGroups(); ver < 2 && groups > 0 {
-		return fmt.Errorf("wire: hoisted plans need format version 2, cannot encode as %d", ver)
-	}
-	if nttRegs, convs := p.DomainStats(); ver < 3 && (nttRegs > 0 || convs > 0) {
-		return fmt.Errorf("wire: domain-assigned plans need format version 3, cannot encode as %d", ver)
-	}
-	if groups, _ := p.BatchedGroups(); ver < 4 && groups > 0 {
-		return fmt.Errorf("wire: batched plans need format version 4, cannot encode as %d", ver)
-	}
-	if groups, _, _ := p.SharedGroups(); ver < 6 && groups > 0 {
-		return fmt.Errorf("wire: double-hoisted plans need format version 6, cannot encode as %d (recompile with DisableSharing for older peers)", ver)
 	}
 	w.u32(uint32(p.N))
 	w.u32(uint32(p.VecLen))
@@ -474,11 +463,9 @@ func encodePlan(w *writer, p *plan.ExecutionPlan, ver byte) error {
 	for _, d := range p.RegDeg {
 		w.u8(byte(d))
 	}
-	if ver >= 3 {
-		// v3: one domain byte per register, in register order.
-		for r := range p.RegDeg {
-			w.u8(byte(p.RegDomainOf(r)))
-		}
+	// One domain byte per register, in register order.
+	for r := range p.RegDeg {
+		w.u8(byte(p.RegDomainOf(r)))
 	}
 	w.u32(uint32(len(p.Steps)))
 	for i := range p.Steps {
@@ -490,44 +477,34 @@ func encodePlan(w *writer, p *plan.ExecutionPlan, ver byte) error {
 		w.i64(int64(st.Rot))
 		w.i64(int64(st.Pt))
 		w.i64(int64(st.Con))
-		if ver >= 2 {
-			// v2: hoisted fan-out list (empty for plain steps).
-			w.u32(uint32(len(st.Fan)))
-			for _, f := range st.Fan {
-				w.u32(uint32(f.Dst))
-				w.i64(int64(f.Rot))
-			}
+		// Hoisted fan-out, batched and shared member lists, each empty
+		// for steps of other kinds. A shared member carries its
+		// decomposition slot and a strict 0/1 fill flag.
+		w.u32(uint32(len(st.Fan)))
+		for _, f := range st.Fan {
+			w.u32(uint32(f.Dst))
+			w.i64(int64(f.Rot))
 		}
-		if ver >= 4 {
-			// v4: batched member list (empty for non-batched steps).
-			w.u32(uint32(len(st.Batch)))
-			for _, m := range st.Batch {
-				w.i64(int64(m.Src))
-				w.u32(uint32(m.Dst))
-			}
+		w.u32(uint32(len(st.Batch)))
+		for _, m := range st.Batch {
+			w.i64(int64(m.Src))
+			w.u32(uint32(m.Dst))
 		}
-		if ver >= 6 {
-			// v6: shared member list (empty for non-shared steps), each
-			// member carrying its decomposition slot and a strict 0/1
-			// fill flag.
-			w.u32(uint32(len(st.Shared)))
-			for _, m := range st.Shared {
-				w.i64(int64(m.Src))
-				w.u32(uint32(m.Dst))
-				w.u32(uint32(m.Slot))
-				if m.Fresh {
-					w.u8(1)
-				} else {
-					w.u8(0)
-				}
+		w.u32(uint32(len(st.Shared)))
+		for _, m := range st.Shared {
+			w.i64(int64(m.Src))
+			w.u32(uint32(m.Dst))
+			w.u32(uint32(m.Slot))
+			if m.Fresh {
+				w.u8(1)
+			} else {
+				w.u8(0)
 			}
 		}
 	}
 	w.u32(uint32(len(p.Consts)))
 	for _, pt := range p.Consts {
-		if err := w.blob(pt.MarshalBinary()); err != nil {
-			return err
-		}
+		w.obj(pt)
 	}
 	w.u32(uint32(len(p.Rotations)))
 	for _, r := range p.Rotations {
@@ -539,7 +516,7 @@ func encodePlan(w *writer, p *plan.ExecutionPlan, ver byte) error {
 }
 
 const (
-	stepWireSize   = 1 + 4 + 5*8 // fixed step fields (v1 layout; v2 appends the fan list, v4 the batch list, v6 the shared list)
+	stepWireSize   = 1 + 4 + 5*8 // fixed step fields, before the three member lists
 	fanWireSize    = 4 + 8
 	batchWireSize  = 8 + 4
 	sharedWireSize = 8 + 4 + 4 + 1 // src i64, dst u32, slot u32, fresh u8
@@ -555,23 +532,12 @@ func decodePlan(r *reader, params *bfv.Parameters) (*plan.ExecutionPlan, error) 
 	nRegs := r.count(1)
 	p.NumRegs = nRegs
 	p.RegDeg = make([]int, 0, nRegs)
-	for i := 0; i < nRegs; i++ {
-		p.RegDeg = append(p.RegDeg, int(r.u8()))
+	for _, d := range r.take(nRegs) {
+		p.RegDeg = append(p.RegDeg, int(d))
 	}
-	// v3 carries an explicit domain per register; earlier versions
-	// predate NTT residency, so every register is coefficient-domain.
 	p.RegDomain = make([]plan.Domain, 0, nRegs)
-	if r.ver >= 3 {
-		if r.off+nRegs > len(r.buf) {
-			r.fail()
-		}
-		for i := 0; i < nRegs; i++ {
-			p.RegDomain = append(p.RegDomain, plan.Domain(r.u8()))
-		}
-	} else {
-		for i := 0; i < nRegs; i++ {
-			p.RegDomain = append(p.RegDomain, plan.DomCoeff)
-		}
+	for _, d := range r.take(nRegs) {
+		p.RegDomain = append(p.RegDomain, plan.Domain(d))
 	}
 	nSteps := r.count(stepWireSize)
 	p.Steps = make([]plan.Step, 0, nSteps)
@@ -585,40 +551,34 @@ func decodePlan(r *reader, params *bfv.Parameters) (*plan.ExecutionPlan, error) 
 			Pt:  int(r.i64()),
 			Con: int(r.i64()),
 		}
-		if r.ver >= 2 {
-			nFan := r.count(fanWireSize)
-			for f := 0; f < nFan; f++ {
-				st.Fan = append(st.Fan, plan.FanOut{Dst: int(r.u32()), Rot: int(r.i64())})
-			}
+		nFan := r.count(fanWireSize)
+		for f := 0; f < nFan; f++ {
+			st.Fan = append(st.Fan, plan.FanOut{Dst: int(r.u32()), Rot: int(r.i64())})
 		}
-		if r.ver >= 4 {
-			nBatch := r.count(batchWireSize)
-			for m := 0; m < nBatch; m++ {
-				st.Batch = append(st.Batch, plan.BatchedSrc{Src: int(r.i64()), Dst: int(r.u32())})
-			}
+		nBatch := r.count(batchWireSize)
+		for m := 0; m < nBatch; m++ {
+			st.Batch = append(st.Batch, plan.BatchedSrc{Src: int(r.i64()), Dst: int(r.u32())})
 		}
-		if r.ver >= 6 {
-			nShared := r.count(sharedWireSize)
-			for m := 0; m < nShared; m++ {
-				sm := plan.SharedSrc{Src: int(r.i64()), Dst: int(r.u32()), Slot: int(r.u32())}
-				// Every live slot pins its source in a distinct register
-				// or input, so a well-formed plan never has more slots
-				// than operand codes; rejecting larger indices here keeps
-				// a flipped slot byte from inflating the derived
-				// NumDecomps (and the allocations sized by it) before
-				// plan.Validate proves slot denseness.
-				if sm.Slot >= p.NumCtInputs+nRegs {
-					return nil, fmt.Errorf("%w: decomposition slot %d out of range", ErrInvalid, sm.Slot)
-				}
-				switch r.u8() {
-				case 0:
-				case 1:
-					sm.Fresh = true
-				default:
-					return nil, fmt.Errorf("%w: shared member fill flag is neither 0 nor 1", ErrInvalid)
-				}
-				st.Shared = append(st.Shared, sm)
+		nShared := r.count(sharedWireSize)
+		for m := 0; m < nShared; m++ {
+			sm := plan.SharedSrc{Src: int(r.i64()), Dst: int(r.u32()), Slot: int(r.u32())}
+			// Every live slot pins its source in a distinct register or
+			// input, so a well-formed plan never has more slots than
+			// operand codes; rejecting larger indices here keeps a
+			// flipped slot byte from inflating the derived NumDecomps
+			// (and the allocations sized by it) before plan.Validate
+			// proves slot denseness.
+			if sm.Slot >= p.NumCtInputs+nRegs {
+				return nil, fmt.Errorf("%w: decomposition slot %d out of range", ErrInvalid, sm.Slot)
 			}
+			switch r.u8() {
+			case 0:
+			case 1:
+				sm.Fresh = true
+			default:
+				return nil, fmt.Errorf("%w: shared member fill flag is neither 0 nor 1", ErrInvalid)
+			}
+			st.Shared = append(st.Shared, sm)
 		}
 		p.Steps = append(p.Steps, st)
 		// NumDecomps is sized by the register allocator at compile time;
@@ -636,7 +596,7 @@ func decodePlan(r *reader, params *bfv.Parameters) (*plan.ExecutionPlan, error) 
 	}
 	nConsts := r.count(4)
 	for i := 0; i < nConsts; i++ {
-		pt, err := unmarshalPlaintext(params, r.bytes(), r.err)
+		pt, err := section(r, "plaintext", params.UnmarshalPlaintext)
 		if err != nil {
 			return nil, err
 		}
@@ -675,27 +635,28 @@ func decodePlan(r *reader, params *bfv.Parameters) (*plan.ExecutionPlan, error) 
 
 // ---- request / response ----
 
-func encodeRequestBody(w *writer, req *Request) error {
+func encodeRequestBody(w *writer, req *Request) {
 	w.u32(uint32(len(req.CtIn)))
 	for _, ct := range req.CtIn {
-		if err := w.blob(ct.MarshalBinary()); err != nil {
-			return err
-		}
+		w.obj(ct)
 	}
 	w.u32(uint32(len(req.PtIn)))
 	for _, v := range req.PtIn {
 		w.u64s(v)
 	}
-	return nil
 }
 
 func decodeRequestBody(r *reader, params *bfv.Parameters) (*Request, error) {
 	req := &Request{}
+	fail := func(err error) (*Request, error) {
+		recycle(params, req.CtIn)
+		return nil, err
+	}
 	nCt := r.count(4)
 	for i := 0; i < nCt; i++ {
-		ct, err := unmarshalCiphertext(params, r.bytes(), r.err)
+		ct, err := section(r, "ciphertext", params.UnmarshalCiphertext)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
 		req.CtIn = append(req.CtIn, ct)
 	}
@@ -703,45 +664,85 @@ func decodeRequestBody(r *reader, params *bfv.Parameters) (*Request, error) {
 	for i := 0; i < nPt; i++ {
 		v := r.u64s()
 		if r.err != nil {
-			return nil, r.err
+			return fail(r.err)
 		}
 		if len(v) > params.SlotCount() {
-			return nil, fmt.Errorf("%w: plaintext vector of %d slots exceeds row size %d", ErrInvalid, len(v), params.SlotCount())
+			return fail(fmt.Errorf("%w: plaintext vector of %d slots exceeds row size %d", ErrInvalid, len(v), params.SlotCount()))
 		}
 		for _, x := range v {
 			if x >= params.T {
-				return nil, fmt.Errorf("%w: plaintext value %d outside Z_%d", ErrInvalid, x, params.T)
+				return fail(fmt.Errorf("%w: plaintext value %d outside Z_%d", ErrInvalid, x, params.T))
 			}
 		}
 		req.PtIn = append(req.PtIn, quill.Vec(v))
 	}
+	if r.err != nil {
+		return fail(r.err)
+	}
 	return req, nil
+}
+
+// decodeSample reads encodeSample's optional self-test and checks its
+// shape against the plan it tests.
+func decodeSample(r *reader, params *bfv.Parameters, p *plan.ExecutionPlan) (*Request, *bfv.Ciphertext, error) {
+	switch r.u8() {
+	case 0:
+		return nil, nil, r.err
+	case 1:
+	default:
+		return nil, nil, fmt.Errorf("%w: self-test presence byte is neither 0 nor 1", ErrInvalid)
+	}
+	sample, err := decodeRequestBody(r, params)
+	if err != nil {
+		return nil, nil, err
+	}
+	expected, err := section(r, "ciphertext", params.UnmarshalCiphertext)
+	if err != nil {
+		return nil, nil, err
+	}
+	if len(sample.CtIn) != p.NumCtInputs || len(sample.PtIn) != p.NumPtInputs {
+		return nil, nil, fmt.Errorf("%w: self-test sample has %d ct / %d pt inputs, plan wants %d / %d",
+			ErrInvalid, len(sample.CtIn), len(sample.PtIn), p.NumCtInputs, p.NumPtInputs)
+	}
+	return sample, expected, nil
+}
+
+// recycle returns decoded ciphertexts to the ring pool.
+func recycle(params *bfv.Parameters, cts []*bfv.Ciphertext) {
+	for _, ct := range cts {
+		params.RecycleCiphertext(ct)
+	}
 }
 
 // EncodeRequest serializes a request, pinning it to the parameter
 // fingerprint so a serving process rejects requests encrypted under
-// different parameters.
+// different parameters. Seeded input ciphertexts travel as c0 plus
+// their seed.
 func EncodeRequest(params *bfv.Parameters, req *Request) ([]byte, error) {
-	// Request bodies are unchanged since v1; write the lowest version
-	// that can carry them so mixed-version deployments keep working (a
-	// v1 server rejects anything above its own version).
-	w := newWriter(MinVersion, tagRequest)
-	fp := params.Fingerprint()
-	w.buf = append(w.buf, fp[:]...)
-	if err := encodeRequestBody(w, req); err != nil {
-		return nil, err
-	}
-	return w.finish(), nil
+	return encode(params, tagRequest, func(w *writer) error {
+		w.fingerprint()
+		encodeRequestBody(w, req)
+		return nil
+	})
+}
+
+// RequestSizeBound is the largest legitimate encoded request for a
+// plan with numCt ciphertext and numPt plaintext inputs under params:
+// every ciphertext a full degree-1 one (a seeded one is smaller), every
+// plaintext vector a full slot row. A serving process refuses larger
+// bodies before reading them.
+func RequestSizeBound(params *bfv.Parameters, numCt, numPt int) int {
+	full := params.NewCiphertextUninit(1)
+	defer params.RecycleCiphertext(full)
+	return headerLen + 16 + 4 + numCt*(4+params.BinarySize(full)) + 4 + numPt*(4+8*params.SlotCount()) + sumLen
 }
 
 // DecodeRequest decodes and validates a request against the serving
-// parameters.
+// parameters. Its ciphertexts come from the ring pool: hand them to
+// RecycleCiphertext once the run that reads them has ended.
 func DecodeRequest(params *bfv.Parameters, data []byte) (*Request, error) {
-	r, err := open(data, tagRequest)
+	r, err := open(data, tagRequest, params)
 	if err != nil {
-		return nil, err
-	}
-	if _, err := readFingerprint(r, params); err != nil {
 		return nil, err
 	}
 	req, err := decodeRequestBody(r, params)
@@ -749,6 +750,7 @@ func DecodeRequest(params *bfv.Parameters, data []byte) (*Request, error) {
 		return nil, err
 	}
 	if err := r.done(); err != nil {
+		recycle(params, req.CtIn)
 		return nil, err
 	}
 	return req, nil
@@ -756,91 +758,71 @@ func DecodeRequest(params *bfv.Parameters, data []byte) (*Request, error) {
 
 // EncodeResponse serializes one output ciphertext.
 func EncodeResponse(params *bfv.Parameters, out *bfv.Ciphertext) ([]byte, error) {
-	// Like requests, response bodies are v1-compatible; see EncodeRequest.
-	w := newWriter(MinVersion, tagResponse)
-	fp := params.Fingerprint()
-	w.buf = append(w.buf, fp[:]...)
-	if err := w.blob(out.MarshalBinary()); err != nil {
-		return nil, err
-	}
-	return w.finish(), nil
+	return encode(params, tagResponse, func(w *writer) error {
+		w.fingerprint()
+		w.obj(out)
+		return nil
+	})
 }
 
 // DecodeResponse decodes a response produced under the same
-// parameters.
+// parameters, into ring-pool polynomials (see DecodeRequest).
 func DecodeResponse(params *bfv.Parameters, data []byte) (*bfv.Ciphertext, error) {
-	r, err := open(data, tagResponse)
+	r, err := open(data, tagResponse, params)
 	if err != nil {
 		return nil, err
 	}
-	if _, err := readFingerprint(r, params); err != nil {
-		return nil, err
-	}
-	ct, err := unmarshalCiphertext(params, r.bytes(), r.err)
+	ct, err := section(r, "ciphertext", params.UnmarshalCiphertext)
 	if err != nil {
 		return nil, err
 	}
 	if err := r.done(); err != nil {
+		params.RecycleCiphertext(ct)
 		return nil, err
 	}
 	return ct, nil
 }
 
-func readFingerprint(r *reader, params *bfv.Parameters) ([16]byte, error) {
+// fingerprint reads the leading parameter fingerprint.
+func (r *reader) fingerprint() ([16]byte, error) {
 	var fp [16]byte
-	if r.off+16 > len(r.buf) {
-		return fp, fmt.Errorf("%w: payload ends mid-fingerprint", ErrInvalid)
+	if b := r.take(len(fp)); b != nil {
+		copy(fp[:], b)
 	}
-	copy(fp[:], r.buf[r.off:])
-	r.off += 16
-	if fp != params.Fingerprint() {
-		return fp, fmt.Errorf("%w: object built for %x, serving parameters are %x", ErrFingerprint, fp, params.Fingerprint())
-	}
-	return fp, nil
+	return fp, r.err
 }
 
-// ---- bfv blob helpers (uniform error typing) ----
-
-func unmarshalCiphertext(params *bfv.Parameters, blob []byte, rerr error) (*bfv.Ciphertext, error) {
-	if rerr != nil {
-		return nil, rerr
+// params reads the length-prefixed parameter set and checks it against
+// the fingerprint the payload led with.
+func (r *reader) params(fp [16]byte) (*bfv.Parameters, error) {
+	params, err := section(r, "parameters", bfv.UnmarshalParameters)
+	if err == nil && params.Fingerprint() != fp {
+		err = fmt.Errorf("%w: header %x, decoded parameters %x", ErrFingerprint, fp, params.Fingerprint())
 	}
-	ct, err := params.UnmarshalCiphertext(blob)
-	if err != nil {
-		return nil, fmt.Errorf("%w: ciphertext: %v", ErrInvalid, err)
-	}
-	return ct, nil
+	return params, err
 }
 
-func unmarshalPlaintext(params *bfv.Parameters, blob []byte, rerr error) (*bfv.Plaintext, error) {
-	if rerr != nil {
-		return nil, rerr
+// section decodes the next length-prefixed bfv object, typing its
+// failure as ErrInvalid.
+func section[T any](r *reader, what string, decode func([]byte) (T, error)) (T, error) {
+	var v T
+	blob := r.bytes()
+	if r.err != nil {
+		return v, r.err
 	}
-	pt, err := params.UnmarshalPlaintext(blob)
+	v, err := decode(blob)
 	if err != nil {
-		return nil, fmt.Errorf("%w: plaintext: %v", ErrInvalid, err)
+		err = fmt.Errorf("%w: %s: %v", ErrInvalid, what, err)
 	}
-	return pt, nil
+	return v, err
 }
 
-func unmarshalRelin(params *bfv.Parameters, blob []byte, rerr error) (*bfv.RelinearizationKey, error) {
-	if rerr != nil {
-		return nil, rerr
+// uncovered returns the first of rots whose Galois key gk lacks.
+func uncovered(params *bfv.Parameters, gk *bfv.GaloisKeys, rots []int) (int, bool) {
+	for _, rot := range rots {
+		if g := params.GaloisElement(rot); g != 1 && !gk.HasElement(g) {
+			return rot, true
+		}
 	}
-	rk, err := params.UnmarshalRelinearizationKey(blob)
-	if err != nil {
-		return nil, fmt.Errorf("%w: relinearization key: %v", ErrInvalid, err)
-	}
-	return rk, nil
-}
-
-func unmarshalGalois(params *bfv.Parameters, blob []byte, rerr error) (*bfv.GaloisKeys, error) {
-	if rerr != nil {
-		return nil, rerr
-	}
-	gk, err := params.UnmarshalGaloisKeys(blob)
-	if err != nil {
-		return nil, fmt.Errorf("%w: galois keys: %v", ErrInvalid, err)
-	}
-	return gk, nil
+	return 0, false
 }

@@ -188,6 +188,48 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	})
 }
 
+// TestOtherVersionsRefused: v7 is the one readable version. An
+// envelope of any earlier format (v1–v6, all retired) or of a future
+// one fails with ErrVersion, whatever object it holds — even with a
+// valid checksum over the restamped bytes.
+func TestOtherVersionsRefused(t *testing.T) {
+	ctx, b, bundle := exportTestBundle(t)
+	req, err := wire.EncodeRequest(ctx.Params, b.Sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := wire.EncodeResponse(ctx.Params, b.Expected)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, registry := exportTestRegistry(t)
+	decoders := map[string]struct {
+		data   []byte
+		decode func([]byte) error
+	}{
+		"bundle":   {bundle, func(d []byte) error { _, err := wire.DecodeBundle(d); return err }},
+		"request":  {req, func(d []byte) error { _, err := wire.DecodeRequest(ctx.Params, d); return err }},
+		"response": {resp, func(d []byte) error { _, err := wire.DecodeResponse(ctx.Params, d); return err }},
+		"registry": {registry, func(d []byte) error { _, err := wire.DecodeRegistry(d); return err }},
+	}
+	for name, c := range decoders {
+		if c.data[4] != wire.Version {
+			t.Fatalf("%s written as version %d, want %d", name, c.data[4], wire.Version)
+		}
+		if err := c.decode(c.data); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, v := range []byte{0, 1, 2, 3, 4, 5, 6, 8, 255} {
+			d := append([]byte(nil), c.data...)
+			d[4] = v
+			resign(d)
+			if err := c.decode(d); !errors.Is(err, wire.ErrVersion) {
+				t.Errorf("%s stamped version %d: got %v, want ErrVersion", name, v, err)
+			}
+		}
+	}
+}
+
 // TestDecodeNeverPanics sweeps random corruptions — truncations, bit
 // flips, resigned bit flips — through every decoder. Any outcome is
 // acceptable except a panic.

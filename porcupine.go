@@ -299,7 +299,7 @@ func BundleSelfTest(s *Scheduler, b *Bundle) (bool, error) { return serve.SelfTe
 // run endpoints) over a scheduler and its bundle.
 func NewHTTPFront(s *Scheduler, b *Bundle) *Front { return serve.NewFront(s, b) }
 
-// Multi-kernel serving types: the wire-v5 registry artifact (one
+// Multi-kernel serving types: the wire registry artifact (one
 // manifest of named plans sharing a parameter set and one key-material
 // section), the catalog serving it from a single context, and its
 // HTTP front-end. See internal/wire and internal/serve.
