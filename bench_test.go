@@ -262,6 +262,9 @@ func BenchmarkPlanThroughput(b *testing.B) {
 // but "0 B/op, 0 allocs/op" — the PR 3 invariant that keeps concurrent
 // serving GC-quiet. It uses a hand-written program on the test-only
 // PN2048 preset so the canary needs no synthesis and runs in seconds.
+// Its products cover every lift-slot path: two fresh lifts, a square
+// (one lift read twice), and a product whose operands both reuse lifts
+// earlier products left in the session's slots.
 func BenchmarkPlanRun(b *testing.B) {
 	l := &quill.Lowered{
 		VecLen: 1024, NumCtInputs: 1,
@@ -270,9 +273,13 @@ func BenchmarkPlanRun(b *testing.B) {
 			{Op: quill.OpAddCtCt, Dst: 2, A: 1, B: 0},
 			{Op: quill.OpMulCtCt, Dst: 3, A: 2, B: 0},
 			{Op: quill.OpRelin, Dst: 4, A: 3},
-			{Op: quill.OpMulCtPt, Dst: 5, A: 4, P: quill.PtRef{Input: -1, Const: []int64{3}}},
+			{Op: quill.OpMulCtCt, Dst: 5, A: 4, B: 4},
+			{Op: quill.OpMulCtCt, Dst: 6, A: 4, B: 0},
+			{Op: quill.OpAddCtCt, Dst: 7, A: 5, B: 6},
+			{Op: quill.OpRelin, Dst: 8, A: 7},
+			{Op: quill.OpMulCtPt, Dst: 9, A: 8, P: quill.PtRef{Input: -1, Const: []int64{3}}},
 		},
-		Output: 5,
+		Output: 9,
 	}
 	rt, err := backend.NewTestRuntime("PN2048", 5, l)
 	if err != nil {
@@ -281,6 +288,9 @@ func BenchmarkPlanRun(b *testing.B) {
 	p, err := rt.Plan(l)
 	if err != nil {
 		b.Fatal(err)
+	}
+	if fills, reads := p.LiftCounts(); fills != 3 || reads != 6 {
+		b.Fatalf("%d lifts for %d operand reads, want 3 for 6", fills, reads)
 	}
 	v := make(quill.Vec, l.VecLen)
 	for j := range v {

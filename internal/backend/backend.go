@@ -351,6 +351,12 @@ type Session struct {
 	// from the Fresh member that filled it to the source's last shared
 	// rotation — across steps, amounts, and batch windows.
 	decs []*bfv.Decomposition
+	// lifts are the multiplicand lift slots of ct×ct products, grown to
+	// the plan's NumLifts on first use and reused across runs. A
+	// product fills the slots its plan step marks Fresh and multiplies
+	// out of them; a square, and a multiplicand an earlier product
+	// lifted, read the resident lift instead of lifting again.
+	lifts []*bfv.Lifted
 	// br holds the shared per-group state of a batched rotation step
 	// (Galois element, key, automorphism tables); resolved per group,
 	// allocation-free.
@@ -458,6 +464,9 @@ func (s *Session) exec(p *plan.ExecutionPlan, ctIn []*bfv.Ciphertext) (*bfv.Ciph
 	}
 	for len(s.decs) < p.NumDecomps {
 		s.decs = append(s.decs, s.ctx.Params.NewDecomposition())
+	}
+	for len(s.lifts) < p.NumLifts {
+		s.lifts = append(s.lifts, s.ctx.Params.NewLifted())
 	}
 	if s.par > 1 && p.Levels != nil {
 		return s.execLevels(p, ctIn)
@@ -649,7 +658,21 @@ func (s *Session) execStep(p *plan.ExecutionPlan, i int, ctIn []*bfv.Ciphertext)
 		case quill.OpSubCtCt:
 			ev.SubInto(dst, a, s.operand(p, ctIn, st.B))
 		case quill.OpMulCtCt:
-			err = ev.MulInto(dst, a, s.operand(p, ctIn, st.B))
+			// Fill the lifts this product is the first to read, then
+			// multiply out of the slots (one slot for a square). The
+			// levelizer orders each fill before its reuses and after the
+			// slot's earlier readers, so same-level products only ever
+			// share a slot to read it.
+			la, lb := s.lifts[st.LiftA.Slot], s.lifts[st.LiftB.Slot]
+			if st.LiftA.Fresh {
+				err = ev.LiftInto(la, a)
+			}
+			if err == nil && st.LiftB.Fresh {
+				err = ev.LiftInto(lb, s.operand(p, ctIn, st.B))
+			}
+			if err == nil {
+				ev.MulLiftedInto(dst, la, lb)
+			}
 		case quill.OpAddCtPt:
 			if p.RegDomainOf(st.Dst) == plan.DomNTT {
 				var m *bfv.NTTPlaintext

@@ -7,9 +7,9 @@ import (
 
 // diffFixture builds a deterministic full key set plus two fresh
 // ciphertexts for differential tests.
-func diffFixture(t *testing.T, seed int64) (*Parameters, *Evaluator, *Evaluator, *Ciphertext, *Ciphertext, *Encoder, *Decryptor) {
+func diffFixture(t *testing.T, preset string, seed int64) (*Parameters, *Evaluator, *Evaluator, *Ciphertext, *Ciphertext, *Encoder, *Decryptor) {
 	t.Helper()
-	params, err := NewParametersFromPreset("PN2048")
+	params, err := NewParametersFromPreset(preset)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,68 +66,119 @@ func ciphertextsEqual(params *Parameters, a, b *Ciphertext) bool {
 	return true
 }
 
+// mulCase is one way to reach a product on the pure-RNS path, with the
+// operands the big.Int reference multiplies to check it.
+type mulCase struct {
+	name string
+	x, y *Ciphertext
+	run  func() (*Ciphertext, error)
+}
+
+// mulCases are the product paths the differentials hold to the big.Int
+// reference: the distinct product, the square (one lift, three
+// pointwise products), MulInto with the destination aliasing both
+// operands, and MulLiftedInto reading a lift an earlier call left
+// behind (a multiplicand shared across products, as in a plan).
+func mulCases(params *Parameters, ev *Evaluator, a, b *Ciphertext) []mulCase {
+	la, lb := params.NewLifted(), params.NewLifted()
+	return []mulCase{
+		{"a·b", a, b, func() (*Ciphertext, error) { return ev.Mul(a, b) }},
+		{"a·a", a, a, func() (*Ciphertext, error) { return ev.Mul(a, a) }},
+		{"MulInto(c, c, c)", a, a, func() (*Ciphertext, error) {
+			c := params.CopyCiphertext(a)
+			return c, ev.MulInto(c, c, c)
+		}},
+		{"lifted a reused for a·b", a, b, func() (*Ciphertext, error) {
+			if err := ev.LiftInto(la, a); err != nil {
+				return nil, err
+			}
+			sq := params.NewCiphertext(2)
+			ev.MulLiftedInto(sq, la, la) // the earlier call that lifted a
+			if err := ev.LiftInto(lb, b); err != nil {
+				return nil, err
+			}
+			out := params.NewCiphertext(2)
+			ev.MulLiftedInto(out, la, lb)
+			return out, nil
+		}},
+	}
+}
+
 // TestMulDifferentialBitIdentical proves the pure-RNS multiplication
 // pipeline produces bit-identical ciphertexts to the retained big.Int
-// CRT reference across random inputs.
+// CRT reference across random inputs, on every product path
+// (mulCases), and at both secure presets.
 func TestMulDifferentialBitIdentical(t *testing.T) {
+	type fixture struct {
+		preset string
+		seed   int64
+	}
+	fixtures := []fixture{{"PN4096", 6}, {"PN8192", 7}}
 	for seed := int64(1); seed <= 5; seed++ {
-		params, rns, ref, a, b, _, _ := diffFixture(t, seed)
-		got, err := rns.Mul(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := ref.Mul(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ciphertextsEqual(params, got, want) {
-			t.Fatalf("seed %d: pure-RNS Mul differs from big.Int reference", seed)
+		fixtures = append(fixtures, fixture{"PN2048", seed})
+	}
+	for _, f := range fixtures {
+		params, rns, ref, a, b, _, _ := diffFixture(t, f.preset, f.seed)
+		for _, c := range mulCases(params, rns, a, b) {
+			got, err := c.run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := ref.Mul(c.x, c.y)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ciphertextsEqual(params, got, want) {
+				t.Fatalf("%s seed %d: pure-RNS %s differs from big.Int reference", f.preset, f.seed, c.name)
+			}
 		}
 	}
 }
 
 // TestMulRelinRotateDifferential runs the full hot-path chain
-// (Mul → Relinearize → RotateRows) under both implementations and
-// requires bit-identical ciphertexts at every stage.
+// (Mul → Relinearize → RotateRows) under both implementations, from
+// every product path (mulCases), and requires bit-identical
+// ciphertexts at every stage.
 func TestMulRelinRotateDifferential(t *testing.T) {
 	for seed := int64(10); seed <= 12; seed++ {
-		params, rns, ref, a, b, _, _ := diffFixture(t, seed)
-
-		mGot, err := rns.Mul(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mWant, err := ref.Mul(a, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ciphertextsEqual(params, mGot, mWant) {
-			t.Fatalf("seed %d: Mul differs", seed)
-		}
-
-		rGot, err := rns.Relinearize(mGot)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rWant, err := ref.Relinearize(mWant)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ciphertextsEqual(params, rGot, rWant) {
-			t.Fatalf("seed %d: Relinearize differs", seed)
-		}
-
-		for _, k := range []int{1, 2, 5, -3} {
-			rotGot, err := rns.RotateRows(rGot, k)
+		params, rns, ref, a, b, _, _ := diffFixture(t, "PN2048", seed)
+		for _, c := range mulCases(params, rns, a, b) {
+			mGot, err := c.run()
 			if err != nil {
 				t.Fatal(err)
 			}
-			rotWant, err := ref.RotateRows(rWant, k)
+			mWant, err := ref.Mul(c.x, c.y)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ciphertextsEqual(params, rotGot, rotWant) {
-				t.Fatalf("seed %d: RotateRows(%d) differs", seed, k)
+			if !ciphertextsEqual(params, mGot, mWant) {
+				t.Fatalf("seed %d %s: Mul differs", seed, c.name)
+			}
+
+			rGot, err := rns.Relinearize(mGot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rWant, err := ref.Relinearize(mWant)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !ciphertextsEqual(params, rGot, rWant) {
+				t.Fatalf("seed %d %s: Relinearize differs", seed, c.name)
+			}
+
+			for _, k := range []int{1, 2, 5, -3} {
+				rotGot, err := rns.RotateRows(rGot, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rotWant, err := ref.RotateRows(rWant, k)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ciphertextsEqual(params, rotGot, rotWant) {
+					t.Fatalf("seed %d %s: RotateRows(%d) differs", seed, c.name, k)
+				}
 			}
 		}
 	}
@@ -136,7 +187,7 @@ func TestMulRelinRotateDifferential(t *testing.T) {
 // TestMulDecryptsCorrectly sanity-checks the pure-RNS product against
 // the plaintext slot product (not just the reference implementation).
 func TestMulDecryptsCorrectly(t *testing.T) {
-	params, rns, _, _, _, enc, dec := diffFixture(t, 42)
+	params, rns, _, _, _, enc, dec := diffFixture(t, "PN2048", 42)
 	rng := rand.New(rand.NewSource(99))
 	va := make([]uint64, enc.SlotCount())
 	vb := make([]uint64, enc.SlotCount())
@@ -184,7 +235,7 @@ func TestMulDecryptsCorrectly(t *testing.T) {
 // TestInPlaceVariantsAliasSafety checks every Into variant with dst
 // aliasing an operand against the allocating form.
 func TestInPlaceVariantsAliasSafety(t *testing.T) {
-	params, ev, _, a, b, enc, _ := diffFixture(t, 77)
+	params, ev, _, a, b, enc, _ := diffFixture(t, "PN2048", 77)
 	pt, err := enc.EncodeNew([]uint64{3, 1, 4, 1, 5, 9, 2, 6})
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +407,7 @@ func TestInPlaceVariantsAliasSafety(t *testing.T) {
 // parallelism enabled and requires bit-identical results to the serial
 // configuration.
 func TestParallelEvaluatorMatchesSerial(t *testing.T) {
-	params, ev, _, a, b, _, _ := diffFixture(t, 123)
+	params, ev, _, a, b, _, _ := diffFixture(t, "PN2048", 123)
 	serial, err := ev.MulRelin(a, b)
 	if err != nil {
 		t.Fatal(err)

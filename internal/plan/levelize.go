@@ -22,7 +22,9 @@ import "porcupine/internal/quill"
 // and never create hazards. Shared rotation members additionally read
 // the decomposition-slot pseudo-registers (NumRegs+Slot) they replay,
 // so a replaying step orders after the step whose Fresh member filled
-// the slot — a dependency invisible to the register file alone.
+// the slot — a dependency invisible to the register file alone. A
+// product likewise reads the lift-slot pseudo-register
+// (liftReg(Slot)) of each operand lift it reuses from an earlier step.
 func (p *ExecutionPlan) stepReads(st *Step, buf []int) []int {
 	read := func(code int) {
 		if !p.IsInput(code) {
@@ -46,17 +48,31 @@ func (p *ExecutionPlan) stepReads(st *Step, buf []int) []int {
 	}
 	read(st.A)
 	switch st.Op {
-	case quill.OpAddCtCt, quill.OpSubCtCt, quill.OpMulCtCt:
+	case quill.OpAddCtCt, quill.OpSubCtCt:
 		read(st.B)
+	case quill.OpMulCtCt:
+		read(st.B)
+		if !st.LiftA.Fresh {
+			buf = append(buf, p.liftReg(st.LiftA.Slot))
+		}
+		// A square's second operand reads the lift its first just filled.
+		if !st.LiftB.Fresh && !(st.LiftA.Fresh && st.LiftB.Slot == st.LiftA.Slot) {
+			buf = append(buf, p.liftReg(st.LiftB.Slot))
+		}
 	}
 	return buf
 }
+
+// liftReg is the pseudo-register of lift slot s, past the register
+// file and the decomposition slots.
+func (p *ExecutionPlan) liftReg(s int) int { return p.NumRegs + p.NumDecomps + s }
 
 // stepWrites appends the register indices step st writes to buf. For
 // hoisted, batched and shared groups that is every member destination,
 // not just the mirror Dst; a shared Fresh member also writes its slot's
 // pseudo-register (NumRegs+Slot), creating the WAR/WAW hazards that
-// keep a slot refill strictly after the previous fill's replays.
+// keep a slot refill strictly after the previous fill's replays, and a
+// product writes the lift-slot pseudo-register of each lift it fills.
 func (p *ExecutionPlan) stepWrites(st *Step, buf []int) []int {
 	switch st.Op {
 	case OpHoistedRot:
@@ -72,6 +88,13 @@ func (p *ExecutionPlan) stepWrites(st *Step, buf []int) []int {
 			buf = append(buf, st.Shared[i].Dst)
 			if st.Shared[i].Fresh {
 				buf = append(buf, p.NumRegs+st.Shared[i].Slot)
+			}
+		}
+	case quill.OpMulCtCt:
+		buf = append(buf, st.Dst)
+		for _, l := range [2]Lift{st.LiftA, st.LiftB} {
+			if l.Fresh {
+				buf = append(buf, p.liftReg(l.Slot))
 			}
 		}
 	default:
@@ -94,7 +117,7 @@ func (p *ExecutionPlan) Levelize() {
 		readers    []int
 	}
 	// Slot pseudo-registers live past the real register file.
-	regs := make([]regState, p.NumRegs+p.NumDecomps)
+	regs := make([]regState, p.NumRegs+p.NumDecomps+p.NumLifts)
 	for r := range regs {
 		regs[r].lastWriter = -1
 	}

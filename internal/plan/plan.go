@@ -143,6 +143,11 @@ type Step struct {
 	// a source's register must survive untouched from its Fresh member
 	// to its last shared rotation (its c0 is read per rotation).
 	Shared []SharedSrc
+
+	// LiftA and LiftB are the session lift slots of an OpMulCtCt step's
+	// operands (zero on every other op); see AssignLifts. Derived —
+	// never serialized.
+	LiftA, LiftB Lift
 }
 
 // ExecutionPlan is a compiled, immutable execution schedule for one
@@ -179,6 +184,11 @@ type ExecutionPlan struct {
 	// register allocator; never serialized (wire decoding recomputes it
 	// from the step list).
 	NumDecomps int
+	// NumLifts is the number of multiplicand lift slots a session needs:
+	// the peak number of simultaneously-live lifts (AssignLifts), 0 for
+	// a plan without ct×ct products. Derived — never serialized; Compile
+	// and wire decode both compute it from the step list.
+	NumLifts int
 
 	Steps []Step
 
@@ -869,6 +879,7 @@ func CompileWithOptions(params *bfv.Parameters, enc *bfv.Encoder, l *quill.Lower
 	if p.RegDomain == nil {
 		p.RegDomain = []Domain{}
 	}
+	p.AssignLifts()
 	p.Levelize()
 	if !opts.DisableDomainAssignment {
 		p.Prepare(params)
@@ -885,7 +896,9 @@ func CompileWithOptions(params *bfv.Parameters, enc *bfv.Encoder, l *quill.Lower
 // assignment is disabled, wire decode calls it always — so the plan
 // stays immutable once published. Idempotent.
 func (p *ExecutionPlan) Prepare(params *bfv.Parameters) {
-	p.Levelize() // wire decode reaches here without a Compile pass
+	// Wire decode reaches here without a Compile pass.
+	p.AssignLifts()
+	p.Levelize()
 	if p.Prepared {
 		return
 	}
@@ -1079,8 +1092,10 @@ func (p *ExecutionPlan) DomainStats() (nttRegs, convSteps int) {
 // from the wire (internal/wire). A malformed plan (out-of-range
 // register or constant index, unknown opcode, undeclared rotation)
 // would index out of bounds inside a session's execution loop;
-// Validate turns that into an error at load time. params must be the
-// parameter set the plan will execute under.
+// Validate turns that into an error at load time. The derived lift
+// slots (AssignLifts) must already be in place; Validate checks their
+// fill-before-reuse state. params must be the parameter set the plan
+// will execute under.
 func (p *ExecutionPlan) Validate(params *bfv.Parameters) error {
 	if p.N != params.N {
 		return fmt.Errorf("plan: compiled for N=%d, parameters have N=%d", p.N, params.N)
@@ -1417,6 +1432,9 @@ func (p *ExecutionPlan) Validate(params *bfv.Parameters) error {
 		}
 	} else if want := min(hoisted+batched, 1); p.NumDecomps != want {
 		return fmt.Errorf("plan: %d decomposition buffers declared, %d hoisted+batched groups need %d", p.NumDecomps, hoisted+batched, want)
+	}
+	if err := p.validateLifts(); err != nil {
+		return err
 	}
 	if p.Out < 0 || p.Out >= codes {
 		return fmt.Errorf("plan: output code %d out of range", p.Out)

@@ -46,9 +46,9 @@ func fanOutProgram() *quill.Lowered {
 	}
 }
 
-// TestHoistedPlanNeedsV2 checks the fan list: a plan carrying hoisted
+// TestHoistedPlanRoundTrip checks the fan list: a plan carrying hoisted
 // steps round-trips with every fan member intact.
-func TestHoistedPlanNeedsV2(t *testing.T) {
+func TestHoistedPlanRoundTrip(t *testing.T) {
 	l := fanOutProgram()
 	ctx, plans, err := backend.NewTestServingContext("PN2048", 23, l)
 	if err != nil {
@@ -146,10 +146,10 @@ func TestFanCorruptionRejected(t *testing.T) {
 	})
 }
 
-// TestDomainPlanNeedsV3 checks the per-register domain bytes: the round
+// TestDomainPlanRoundTrip checks the per-register domain bytes: the round
 // trip preserves the domain assignment exactly and re-derives the
 // prepared operand forms.
-func TestDomainPlanNeedsV3(t *testing.T) {
+func TestDomainPlanRoundTrip(t *testing.T) {
 	l := fanOutProgram()
 	ctx, plans, err := backend.NewTestServingContext("PN2048", 23, l)
 	if err != nil {
@@ -253,9 +253,9 @@ func batchedProgram() *quill.Lowered {
 	}
 }
 
-// TestBatchedPlanNeedsV4 checks the batch member list: the round trip
+// TestBatchedPlanRoundTrip checks the batch member list: the round trip
 // preserves the groups exactly, and NumDecomps is re-derived at decode.
-func TestBatchedPlanNeedsV4(t *testing.T) {
+func TestBatchedPlanRoundTrip(t *testing.T) {
 	l := batchedProgram()
 	ctx, plans, err := backend.NewTestServingContext("PN2048", 23, l)
 	if err != nil {
@@ -377,10 +377,10 @@ func sharedProgram() *quill.Lowered {
 	}
 }
 
-// TestSharedPlanNeedsV6 checks the shared member list: the round trip
+// TestSharedPlanRoundTrip checks the shared member list: the round trip
 // preserves the groups, slots and fill flags exactly — including
 // NumDecomps, which is never serialized but re-derived at decode.
-func TestSharedPlanNeedsV6(t *testing.T) {
+func TestSharedPlanRoundTrip(t *testing.T) {
 	l := sharedProgram()
 	ctx, plans, err := backend.NewTestServingContext("PN2048", 23, l)
 	if err != nil {

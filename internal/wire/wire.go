@@ -623,6 +623,8 @@ func decodePlan(r *reader, params *bfv.Parameters) (*plan.ExecutionPlan, error) 
 			ErrInvalid, l.VecLen, l.NumCtInputs, l.NumPtInputs, p.VecLen, p.NumCtInputs, p.NumPtInputs)
 	}
 	p.Source = l
+	// Lift slots are derived like NumDecomps, before Validate checks them.
+	p.AssignLifts()
 	if err := p.Validate(params); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}

@@ -93,6 +93,9 @@ func TestBundleRoundTrip(t *testing.T) {
 	if q.NumDecomps != p.NumDecomps {
 		t.Fatalf("NumDecomps = %d across the wire, want %d", q.NumDecomps, p.NumDecomps)
 	}
+	if q.NumLifts != p.NumLifts {
+		t.Fatalf("NumLifts = %d across the wire, want %d", q.NumLifts, p.NumLifts)
+	}
 
 	// The decoded artifact must execute bit-identically in a sealed
 	// context (no secret key) fed only from the bundle.
