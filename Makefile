@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race test-short test-benchmark fuzz bench bench-figure4 bench-ops bench-synth bench-serve bench-rot bench-scale bench-mux smoke-serve smoke-wire smoke-registry alloc-canary
+.PHONY: all build vet test test-race test-short test-benchmark fuzz bench bench-figure4 bench-ops bench-synth bench-serve bench-scale bench-mux smoke-serve smoke-wire smoke-registry alloc-canary
 
 all: vet build test-short
 
@@ -20,19 +20,22 @@ test-short:
 # the batch scheduler, the synthesis cache, the client crypto shared by
 # every keyholder goroutine (sampler, encryptor, decryptor, encoder
 # pools), the serving runtime (concurrent sessions over one context),
-# the batched request scheduler, and wire decode/load. Mirrors the CI
-# job; drop -short for the full sweep when touching the search.
+# the batched request scheduler, and wire decode/load. The CI race job
+# runs this target; drop -short for the full sweep when touching the
+# search.
 test-race:
 	$(GO) test -race -short -timeout 10m ./internal/ring/... ./internal/bfv/... ./internal/synth/... ./internal/quill/... ./internal/plan/... ./internal/backend/... ./internal/serve/... ./internal/wire/...
 
 # The benchmark is a module of its own (benchmark/go.mod), which the
 # root `go test ./...` never builds: vet it and run its smoke test so
-# it cannot rot against internal/ API changes. Mirrors the CI job.
+# it cannot rot against internal/ API changes. The CI benchmark-module
+# job runs this target.
 test-benchmark:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 # Native fuzzing of the two decoders a serving process and a client
-# run on untrusted bytes (mirrors the CI job): 30 s per target. A
+# run on untrusted bytes (the CI fuzz job runs this target): 30 s per
+# target. A
 # short minimization budget keeps a found crash from being minimized
 # past the fuzzing deadline; a failing input lands in
 # internal/wire/testdata/fuzz/ and then runs in every `go test`.
@@ -97,17 +100,6 @@ smoke-registry:
 	/tmp/porcupine-smoke -load-registry /tmp/porcupine-smoke.pregistry -iters 2
 	/tmp/porcupine-smoke -load-registry /tmp/porcupine-smoke.pregistry -run dot-product -iters 16 -workers 1
 
-# Plan-schedule benchmark: per-kernel flat (hoisting and domain
-# assignment disabled) vs hoisted vs domain-assigned plan latency plus
-# the static transform counts behind each win (key-switching forward
-# NTTs for hoisting, key-switch-external forward+inverse passes for
-# domain assignment), baseline and synthesized forms, with
-# bit-identity verified on every kernel. Recorded numbers live in
-# BENCH_PR5.json and BENCH_PR6.json; methodology in EXPERIMENTS.md.
-bench-rot:
-	$(GO) run ./cmd/benchrot -iters 20 -cache-dir /tmp/porcupine-bench-cache -out /tmp/porcupine-bench-rot.json
-	@echo "wrote /tmp/porcupine-bench-rot.json (curated records: BENCH_PR5.json, BENCH_PR6.json, BENCH_PR10.json)"
-
 # Multi-core scaling benchmark: per-kernel worker sweep with both
 # parallel layers engaged (ring worker pool + levelized plan steps),
 # paired-delta speedups over the serial schedule, bit-identity proven
@@ -134,22 +126,18 @@ bench-mux:
 		$(if $(KERNELS),-kernels $(KERNELS)) -out $(MUX_OUT)
 	@echo "wrote $(MUX_OUT) (curated record: BENCH_PR9.json)"
 
-# Allocation-regression canary (mirrors the CI job): steady-state plan
-# execution — plain, hoisted, domain-assigned, the tree-reduced
-# batched-rotation path, the double-hoisted shared-rotation path,
-# the multi-core engine (worker pool +
-# levelized steps), and the slot-multiplexed batch path — must report
-# 0 allocs/op; the keyholder's EncryptVec and DecryptVec (both presets)
+# Allocation-regression canary (the CI job runs this target): steady-state
+# plan execution — plain, domain-assigned, the double-hoisted
+# shared-rotation path, the multi-core engine (worker pool + levelized
+# steps), and the slot-multiplexed batch path — must report 0 allocs/op; the keyholder's EncryptVec and DecryptVec (both presets)
 # must stay within 8 allocs/op — the returned ciphertext or vector,
 # nothing per coefficient; the PN4096 codec round trip
 # (BenchmarkWireRoundTrip) must stay within 1.5× the bytes of the
 # packed request and response it reports — the encoded buffers only.
 alloc-canary:
-	$(GO) test -run '^$$' -bench '^(BenchmarkPlanRun|BenchmarkHoistedPlanRun|BenchmarkDomainAssignedPlanRun|BenchmarkTreeBatchedPlanRun|BenchmarkSharedRotPlanRun|BenchmarkParallelPlanRun|BenchmarkMuxedPlanRun)$$' -benchtime 1x -benchmem . | tee /tmp/porcupine-canary.out
+	$(GO) test -run '^$$' -bench '^(BenchmarkPlanRun|BenchmarkDomainAssignedPlanRun|BenchmarkSharedRotPlanRun|BenchmarkParallelPlanRun|BenchmarkMuxedPlanRun)$$' -benchtime 1x -benchmem . | tee /tmp/porcupine-canary.out
 	grep -E 'BenchmarkPlanRun.* 0 B/op.* 0 allocs/op' /tmp/porcupine-canary.out
-	grep -E 'BenchmarkHoistedPlanRun.* 0 B/op.* 0 allocs/op' /tmp/porcupine-canary.out
 	grep -E 'BenchmarkDomainAssignedPlanRun.* 0 B/op.* 0 allocs/op' /tmp/porcupine-canary.out
-	grep -E 'BenchmarkTreeBatchedPlanRun.* 0 B/op.* 0 allocs/op' /tmp/porcupine-canary.out
 	grep -E 'BenchmarkSharedRotPlanRun.* 0 B/op.* 0 allocs/op' /tmp/porcupine-canary.out
 	grep -E 'BenchmarkParallelPlanRun.* 0 B/op.* 0 allocs/op' /tmp/porcupine-canary.out
 	grep -E 'BenchmarkMuxedPlanRun.* 0 B/op.* 0 allocs/op' /tmp/porcupine-canary.out

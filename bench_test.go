@@ -326,75 +326,9 @@ func BenchmarkPlanRun(b *testing.B) {
 	}
 }
 
-// BenchmarkHoistedPlanRun is the allocation canary of the hoisted
-// key-switching path: one warm session executing a plan with a
-// rotation fan-out group at steady state. Like BenchmarkPlanRun, CI
-// runs it with -benchtime=1x -benchmem and fails the build on
-// anything but "0 B/op, 0 allocs/op" — hoisting must not cost the
-// serving runtime its GC-quiet invariant (the decomposition scratch
-// is created once per session and reused).
-func BenchmarkHoistedPlanRun(b *testing.B) {
-	l := &quill.Lowered{
-		VecLen: 1024, NumCtInputs: 1,
-		Instrs: []quill.LInstr{
-			{Op: quill.OpRotCt, Dst: 1, A: 0, Rot: 1},
-			{Op: quill.OpRotCt, Dst: 2, A: 0, Rot: 2},
-			{Op: quill.OpRotCt, Dst: 3, A: 0, Rot: 4},
-			{Op: quill.OpRotCt, Dst: 4, A: 0, Rot: -7},
-			{Op: quill.OpAddCtCt, Dst: 5, A: 1, B: 2},
-			{Op: quill.OpAddCtCt, Dst: 6, A: 5, B: 3},
-			{Op: quill.OpAddCtCt, Dst: 7, A: 6, B: 4},
-			{Op: quill.OpMulCtCt, Dst: 8, A: 7, B: 0},
-			{Op: quill.OpRelin, Dst: 9, A: 8},
-		},
-		Output: 9,
-	}
-	rt, err := backend.NewTestRuntime("PN2048", 5, l)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// The legacy hoisted shape: default compiles now produce shared
-	// groups, which have their own canary (BenchmarkSharedRotPlanRun).
-	p, err := plan.CompileWithOptions(rt.Params, rt.Encoder, l, plan.Options{DisableSharing: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	if g, r := p.HoistedGroups(); g != 1 || r != 4 {
-		b.Fatalf("hoisted groups = %d (%d rotations), want 1 (4)", g, r)
-	}
-	v := make(quill.Vec, l.VecLen)
-	for j := range v {
-		v[j] = uint64(j % 61)
-	}
-	ct, err := rt.EncryptVec(v)
-	if err != nil {
-		b.Fatal(err)
-	}
-	s := rt.NewSession()
-	// Warm-up: grows the register file, decomposition scratch and ring
-	// pools to steady state.
-	for i := 0; i < 3; i++ {
-		if _, err := s.Run(p, []*porcupine.Ciphertext{ct}, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// See BenchmarkPlanRun: drain-then-refill the pools so a pending GC
-	// cannot fire inside the single measured sample.
-	runtime.GC()
-	if _, err := s.Run(p, []*porcupine.Ciphertext{ct}, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Run(p, []*porcupine.Ciphertext{ct}, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkDomainAssignedPlanRun is the allocation canary of
-// NTT-resident plan execution: a hoisted fan feeding pointwise chains,
+// NTT-resident plan execution: a rotation fan (shared groups over one
+// decomposition slot) feeding pointwise chains,
 // a serial NTT-to-NTT rotation, prepared constant and runtime-input
 // plaintext products, and the closing conversion back to the
 // coefficient domain — every step kind the domain-assignment pass
@@ -455,86 +389,6 @@ func BenchmarkDomainAssignedPlanRun(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := s.Run(p, []*porcupine.Ciphertext{ct}, []quill.Vec{pt}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTreeBatchedPlanRun is the allocation canary of the PR 7
-// batched key-switching path: two interleaved log-depth rotate-and-add
-// trees whose sibling levels fuse into cross-source batched groups.
-// The trees are written out directly — the reduction rewriter now
-// chooses the decompose-once fan shape for chains this short, which
-// has its own canaries (BenchmarkHoistedPlanRun, and
-// BenchmarkSharedRotPlanRun for the double-hoisted default). Like
-// BenchmarkPlanRun, CI greps for "0 allocs/op" (make alloc-canary) —
-// the shared Galois state comes from per-context caches and the
-// per-member decompositions from session scratch.
-func BenchmarkTreeBatchedPlanRun(b *testing.B) {
-	l := &quill.Lowered{VecLen: 1024, NumCtInputs: 2}
-	next := 2
-	emit := func(in quill.LInstr) int {
-		in.Dst = next
-		l.Instrs = append(l.Instrs, in)
-		next++
-		return in.Dst
-	}
-	accs := []int{0, 1}
-	for k := 4; k >= 1; k /= 2 {
-		var rots [2]int
-		for s := range accs {
-			rots[s] = emit(quill.LInstr{Op: quill.OpRotCt, A: accs[s], Rot: k})
-		}
-		for s := range accs {
-			accs[s] = emit(quill.LInstr{Op: quill.OpAddCtCt, A: accs[s], B: rots[s]})
-		}
-	}
-	l.Output = emit(quill.LInstr{Op: quill.OpAddCtCt, A: accs[0], B: accs[1]})
-	rt, err := backend.NewTestRuntime("PN2048", 5, l)
-	if err != nil {
-		b.Fatal(err)
-	}
-	// The legacy batched shape: default compiles now produce shared
-	// groups, which have their own canary (BenchmarkSharedRotPlanRun).
-	p, err := plan.CompileWithOptions(rt.Params, rt.Encoder, l, plan.Options{DisableSharing: true})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Three levels (rot 4, 2, 1), each one batched group of the two
-	// trees' sibling rotations.
-	if g, r := p.BatchedGroups(); g != 3 || r != 6 {
-		b.Fatalf("batched groups = %d (%d rotations), want 3 (6)", g, r)
-	}
-	vs := make([]quill.Vec, 2)
-	cts := make([]*porcupine.Ciphertext, 2)
-	for i := range vs {
-		v := make(quill.Vec, l.VecLen)
-		for j := range v {
-			v[j] = uint64((j + i) % 61)
-		}
-		vs[i] = v
-		if cts[i], err = rt.EncryptVec(v); err != nil {
-			b.Fatal(err)
-		}
-	}
-	s := rt.NewSession()
-	// Warm-up: grows the register file, decomposition scratch and ring
-	// pools to steady state.
-	for i := 0; i < 3; i++ {
-		if _, err := s.Run(p, cts, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-	// See BenchmarkPlanRun: drain-then-refill the pools so a pending GC
-	// cannot fire inside the single measured sample.
-	runtime.GC()
-	if _, err := s.Run(p, cts, nil); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := s.Run(p, cts, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

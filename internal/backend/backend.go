@@ -343,13 +343,12 @@ type Session struct {
 	// encodeInputs for exactly the inputs the plan flags as needed.
 	ptsMulNTT []*bfv.NTTPlaintext
 	ptsAddNTT []*bfv.NTTPlaintext
-	// decs is the key-switching decomposition scratch of rotation
-	// groups, grown to the plan's declared slot count (NumDecomps) on
-	// first use and reused across runs. Legacy hoisted/batched groups
-	// use decs[0] as transient scratch; double-hoisted plans index it
-	// by each member's assigned slot, and a slot's digits stay resident
-	// from the Fresh member that filled it to the source's last shared
-	// rotation — across steps, amounts, and batch windows.
+	// decs are the key-switching decomposition slots of shared rotation
+	// groups, grown to the plan's NumDecomps on first use and reused
+	// across runs. A shared member indexes them by its assigned slot,
+	// and a slot's digits stay resident from the Fresh member that
+	// filled it to the source's last shared rotation — across steps,
+	// amounts, and sharing windows.
 	decs []*bfv.Decomposition
 	// lifts are the multiplicand lift slots of ct×ct products, grown to
 	// the plan's NumLifts on first use and reused across runs. A
@@ -357,9 +356,9 @@ type Session struct {
 	// out of them; a square, and a multiplicand an earlier product
 	// lifted, read the resident lift instead of lifting again.
 	lifts []*bfv.Lifted
-	// br holds the shared per-group state of a batched rotation step
-	// (Galois element, key, automorphism tables); resolved per group,
-	// allocation-free.
+	// br holds the per-amount state of the shared rotation step being
+	// executed (Galois element, key, automorphism tables); resolved per
+	// step, allocation-free.
 	br bfv.BatchedRotation
 	// par is the session's step-level parallelism budget: with par > 1
 	// the independent steps of each dependency level (plan.Levels) run
@@ -387,7 +386,7 @@ type levelRunner struct {
 	p       *plan.ExecutionPlan
 	ctIn    []*bfv.Ciphertext
 	steps   []int   // plain steps of the current level
-	scratch []int   // hoisted/batched/shared steps (share s.decs/s.br) — run serially
+	scratch []int   // shared rotation steps (share s.decs/s.br) — run serially
 	errs    []error // per-task results, indexed like steps
 }
 
@@ -430,20 +429,18 @@ func (s *Session) encodeInputs(p *plan.ExecutionPlan, ptIn []quill.Vec) error {
 	// Prepared NTT forms for the inputs the plan actually reads in the
 	// evaluation domain. One forward NTT per flagged input per run —
 	// the cost the domain pass already accounted for.
-	if p.Prepared {
-		for len(s.ptsMulNTT) < p.NumPtInputs {
-			s.ptsMulNTT = append(s.ptsMulNTT, s.ctx.Params.NewNTTPlaintext())
+	for len(s.ptsMulNTT) < p.NumPtInputs {
+		s.ptsMulNTT = append(s.ptsMulNTT, s.ctx.Params.NewNTTPlaintext())
+	}
+	for len(s.ptsAddNTT) < p.NumPtInputs {
+		s.ptsAddNTT = append(s.ptsAddNTT, s.ctx.Params.NewNTTPlaintext())
+	}
+	for i := range ptIn {
+		if i < len(p.PtNeedMulNTT) && p.PtNeedMulNTT[i] {
+			s.ctx.Params.SetMulPlainNTT(s.ptsMulNTT[i], s.pts[i])
 		}
-		for len(s.ptsAddNTT) < p.NumPtInputs {
-			s.ptsAddNTT = append(s.ptsAddNTT, s.ctx.Params.NewNTTPlaintext())
-		}
-		for i := range ptIn {
-			if i < len(p.PtNeedMulNTT) && p.PtNeedMulNTT[i] {
-				s.ctx.Params.SetMulPlainNTT(s.ptsMulNTT[i], s.pts[i])
-			}
-			if i < len(p.PtNeedAddNTT) && p.PtNeedAddNTT[i] {
-				s.ctx.Params.SetAddPlainNTT(s.ptsAddNTT[i], s.pts[i])
-			}
+		if i < len(p.PtNeedAddNTT) && p.PtNeedAddNTT[i] {
+			s.ctx.Params.SetAddPlainNTT(s.ptsAddNTT[i], s.pts[i])
 		}
 	}
 	return nil
@@ -481,9 +478,9 @@ func (s *Session) exec(p *plan.ExecutionPlan, ctIn []*bfv.Ciphertext) (*bfv.Ciph
 
 // execLevels runs the plan by dependency level: the plain steps of one
 // level fan out over the ring worker pool (each task executes one full
-// step), while hoisted/batched/shared steps — which share the
-// session's decomposition scratch and batched-rotation state — run
-// serially on the caller after the fan-out (the levelizer's slot
+// step), while shared rotation steps — which share the session's
+// decomposition slots and per-amount rotation state — run serially on
+// the caller after the fan-out (the levelizer's slot
 // pseudo-registers keep a slot's fill strictly before its replays and
 // before any refill, so caller-serial order within a level is always
 // hazard-safe). Level barriers preserve the hazard order, so the
@@ -505,7 +502,7 @@ func (s *Session) execLevels(p *plan.ExecutionPlan, ctIn []*bfv.Ciphertext) (*bf
 	for _, lv := range p.Levels {
 		lr.steps, lr.scratch = lr.steps[:0], lr.scratch[:0]
 		for _, i := range lv {
-			if op := p.Steps[i].Op; op == plan.OpHoistedRot || op == plan.OpBatchedRot || op == plan.OpSharedRot {
+			if p.Steps[i].Op == plan.OpSharedRot {
 				lr.scratch = append(lr.scratch, i)
 			} else {
 				lr.steps = append(lr.steps, i)
@@ -546,8 +543,8 @@ func (s *Session) operand(p *plan.ExecutionPlan, ctIn []*bfv.Ciphertext, code in
 // execStep executes plan step i against the session's register file.
 // Steps of one dependency level touch disjoint registers, so execStep
 // is safe to call concurrently for same-level steps — with the
-// exception of hoisted/batched groups, which share the session's
-// decomposition scratch and must stay on one goroutine.
+// exception of shared rotation groups, which share the session's
+// decomposition slots and must stay on one goroutine.
 func (s *Session) execStep(p *plan.ExecutionPlan, i int, ctIn []*bfv.Ciphertext) error {
 	ev := s.ctx.Eval
 	{
@@ -556,54 +553,6 @@ func (s *Session) execStep(p *plan.ExecutionPlan, i int, ctIn []*bfv.Ciphertext)
 		a := s.operand(p, ctIn, st.A)
 		var err error
 		switch st.Op {
-		case plan.OpHoistedRot:
-			// Decompose the source once, then every rotation of the fan
-			// costs a digit permutation instead of K lifts + K NTTs.
-			// An NTT-resident source keeps the whole fan in the
-			// evaluation domain; a coefficient source serves mixed
-			// fans, sharing one forward NTT of c0 across the
-			// NTT-destined members.
-			if p.CodeDomain(st.A) == plan.DomNTT {
-				if err = ev.DecomposeForKeySwitchNTT(s.decs[0], a); err == nil {
-					for _, f := range st.Fan {
-						if err = ev.RotateRowsHoistedNTTIntoNTT(s.regs[f.Dst], a, s.decs[0], f.Rot); err != nil {
-							break
-						}
-					}
-				}
-			} else if err = ev.DecomposeForKeySwitch(s.decs[0], a); err == nil {
-				for _, f := range st.Fan {
-					if p.RegDomainOf(f.Dst) == plan.DomNTT {
-						err = ev.RotateRowsHoistedIntoNTT(s.regs[f.Dst], a, s.decs[0], f.Rot)
-					} else {
-						err = ev.RotateRowsHoistedInto(s.regs[f.Dst], a, s.decs[0], f.Rot)
-					}
-					if err != nil {
-						break
-					}
-				}
-			}
-		case plan.OpBatchedRot:
-			// Resolve the Galois element, switching key, and
-			// automorphism tables once, then rotate every member's own
-			// source through the batched variant of its domain pair —
-			// bit-identical to the serial rotations it replaces.
-			if err = ev.BeginBatchedRotation(&s.br, st.Rot); err == nil {
-				for _, m := range st.Batch {
-					src, d := s.operand(p, ctIn, m.Src), s.regs[m.Dst]
-					switch {
-					case p.CodeDomain(m.Src) == plan.DomNTT:
-						err = ev.RotateRowsBatchedNTTIntoNTT(d, src, s.decs[0], &s.br)
-					case p.RegDomainOf(m.Dst) == plan.DomNTT:
-						err = ev.RotateRowsBatchedIntoNTT(d, src, s.decs[0], &s.br)
-					default:
-						err = ev.RotateRowsBatchedInto(d, src, s.decs[0], &s.br)
-					}
-					if err != nil {
-						break
-					}
-				}
-			}
 		case plan.OpSharedRot:
 			// Double-hoisted group: the Galois state resolves once for
 			// the step's amount; each Fresh member lifts its source's
@@ -628,7 +577,7 @@ func (s *Session) execStep(p *plan.ExecutionPlan, i int, ctIn []*bfv.Ciphertext)
 					switch {
 					case srcNTT:
 						err = ev.RotateRowsSharedNTTIntoNTT(d, src, dec, &s.br)
-					case p.RegDomainOf(m.Dst) == plan.DomNTT:
+					case p.RegDomain[m.Dst] == plan.DomNTT:
 						err = ev.RotateRowsSharedIntoNTT(d, src, dec, &s.br)
 					default:
 						err = ev.RotateRowsSharedInto(d, src, dec, &s.br)
@@ -642,7 +591,7 @@ func (s *Session) execStep(p *plan.ExecutionPlan, i int, ctIn []*bfv.Ciphertext)
 			switch {
 			case p.CodeDomain(st.A) == plan.DomNTT:
 				err = ev.RotateRowsNTTIntoNTT(dst, a, st.Rot)
-			case p.RegDomainOf(st.Dst) == plan.DomNTT:
+			case p.RegDomain[st.Dst] == plan.DomNTT:
 				err = ev.RotateRowsIntoNTT(dst, a, st.Rot)
 			default:
 				err = ev.RotateRowsInto(dst, a, st.Rot)
@@ -674,7 +623,7 @@ func (s *Session) execStep(p *plan.ExecutionPlan, i int, ctIn []*bfv.Ciphertext)
 				ev.MulLiftedInto(dst, la, lb)
 			}
 		case quill.OpAddCtPt:
-			if p.RegDomainOf(st.Dst) == plan.DomNTT {
+			if p.RegDomain[st.Dst] == plan.DomNTT {
 				var m *bfv.NTTPlaintext
 				if m, err = s.stepAddNTT(p, st); err == nil {
 					ev.AddPlainNTTIntoNTT(dst, a, m)
@@ -683,7 +632,7 @@ func (s *Session) execStep(p *plan.ExecutionPlan, i int, ctIn []*bfv.Ciphertext)
 				ev.AddPlainInto(dst, a, s.stepPlaintext(p, st))
 			}
 		case quill.OpSubCtPt:
-			if p.RegDomainOf(st.Dst) == plan.DomNTT {
+			if p.RegDomain[st.Dst] == plan.DomNTT {
 				var m *bfv.NTTPlaintext
 				if m, err = s.stepAddNTT(p, st); err == nil {
 					ev.SubPlainNTTIntoNTT(dst, a, m)
@@ -692,24 +641,20 @@ func (s *Session) execStep(p *plan.ExecutionPlan, i int, ctIn []*bfv.Ciphertext)
 				ev.SubPlainInto(dst, a, s.stepPlaintext(p, st))
 			}
 		case quill.OpMulCtPt:
-			if p.Prepared {
-				var m *bfv.NTTPlaintext
-				if m, err = s.stepMulNTT(p, st); err == nil {
-					srcNTT := p.CodeDomain(st.A) == plan.DomNTT
-					dstNTT := p.RegDomainOf(st.Dst) == plan.DomNTT
-					switch {
-					case srcNTT && dstNTT:
-						ev.MulPlainNTTIntoNTT(dst, a, m)
-					case srcNTT:
-						ev.MulPlainNTTInto(dst, a, m)
-					case dstNTT:
-						ev.MulPlainPreparedIntoNTT(dst, a, m)
-					default:
-						ev.MulPlainPreparedInto(dst, a, m)
-					}
+			var m *bfv.NTTPlaintext
+			if m, err = s.stepMulNTT(p, st); err == nil {
+				srcNTT := p.CodeDomain(st.A) == plan.DomNTT
+				dstNTT := p.RegDomain[st.Dst] == plan.DomNTT
+				switch {
+				case srcNTT && dstNTT:
+					ev.MulPlainNTTIntoNTT(dst, a, m)
+				case srcNTT:
+					ev.MulPlainNTTInto(dst, a, m)
+				case dstNTT:
+					ev.MulPlainPreparedIntoNTT(dst, a, m)
+				default:
+					ev.MulPlainPreparedInto(dst, a, m)
 				}
-			} else {
-				ev.MulPlainInto(dst, a, s.stepPlaintext(p, st))
 			}
 		default:
 			err = fmt.Errorf("unknown opcode %v", st.Op)

@@ -1,113 +1,15 @@
 package backend
 
 import (
-	"math/rand"
 	"testing"
 
-	"porcupine/internal/baseline"
 	"porcupine/internal/bfv"
-	"porcupine/internal/kernels"
-	"porcupine/internal/plan"
 	"porcupine/internal/quill"
 )
 
-// TestDomainAssignedVsUnassignedKernels is the differential leg of the
-// domain-assignment pass: on the full 11-kernel suite, the
-// instruction-at-a-time interpreter, the all-coefficient plan
-// (DisableDomainAssignment) and the domain-assigned plan must produce
-// bit-identical output ciphertexts — NTT residency is a pure
-// representation change, invisible in the coefficient-domain output.
-// It also requires the pass to strictly reduce the static
-// key-switch-external transform count on at least 6 kernels.
-func TestDomainAssignedVsUnassignedKernels(t *testing.T) {
-	names := baseline.Names()
-	if testing.Short() {
-		names = []string{"box-blur", "dot-product"}
-	}
-	strict := 0
-	for _, name := range names {
-		t.Run(name, func(t *testing.T) {
-			spec := kernels.ByName(name)
-			l, err := baseline.Lowered(name)
-			if err != nil {
-				t.Fatal(err)
-			}
-			preset := "PN4096"
-			if l.MultDepth() > 2 {
-				preset = "PN8192"
-			}
-			rt, err := NewTestRuntime(preset, 7, l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			assigned, err := rt.Plan(l)
-			if err != nil {
-				t.Fatal(err)
-			}
-			unassigned, err := plan.CompileWithOptions(rt.Params, rt.Encoder, l, plan.Options{DisableDomainAssignment: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if nttRegs, convs := unassigned.DomainStats(); nttRegs != 0 || convs != 0 {
-				t.Fatalf("unassigned plan has %d NTT regs, %d conversions", nttRegs, convs)
-			}
-			before, after := unassigned.ExternalTransforms(), assigned.ExternalTransforms()
-			nttRegs, convs := assigned.DomainStats()
-			t.Logf("%s: external transforms %d -> %d (%d NTT regs, %d conversions)",
-				name, before, after, nttRegs, convs)
-			if after > before {
-				t.Fatalf("domain assignment increased transforms %d -> %d", before, after)
-			}
-			if after < before {
-				strict++
-			}
-
-			rng := rand.New(rand.NewSource(3))
-			assign := make([]uint64, spec.NumVars)
-			for i := range assign {
-				assign[i] = rng.Uint64() % 64
-			}
-			ex := spec.NewExample(assign)
-			cts := make([]*bfv.Ciphertext, len(ex.CtIn))
-			for i, v := range ex.CtIn {
-				if cts[i], err = rt.EncryptVec(v); err != nil {
-					t.Fatal(err)
-				}
-			}
-			ref, err := rt.RunInterpreter(l, cts, ex.PtIn)
-			if err != nil {
-				t.Fatalf("interpreter: %v", err)
-			}
-			s := rt.NewSession()
-			unOut, err := s.Run(unassigned, cts, ex.PtIn)
-			if err != nil {
-				t.Fatalf("unassigned plan: %v", err)
-			}
-			if !sameCiphertext(rt.Params, ref, unOut) {
-				t.Fatal("unassigned plan not bit-identical to interpreter")
-			}
-			s2 := rt.NewSession()
-			asOut, err := s2.Run(assigned, cts, ex.PtIn)
-			if err != nil {
-				t.Fatalf("assigned plan: %v", err)
-			}
-			if !sameCiphertext(rt.Params, ref, asOut) {
-				t.Fatal("domain-assigned plan not bit-identical to interpreter")
-			}
-			dec := rt.DecryptVec(asOut, spec.VecLen)
-			if !spec.Matches(dec, ex) {
-				t.Fatal("domain-assigned output disagrees with the plaintext reference")
-			}
-		})
-	}
-	if !testing.Short() && strict < 6 {
-		t.Errorf("domain assignment strictly improved only %d kernels, want >= 6", strict)
-	}
-}
-
 // domainTestProgram builds a program whose assigned plan exercises
-// every new execution path at once: a hoisted fan feeding pointwise
-// adds (NTT-resident members), a serial NTT->NTT rotation, prepared
+// every NTT-domain execution path at once: a rotation fan feeding
+// pointwise adds (NTT-resident members), a serial NTT->NTT rotation, prepared
 // constant and runtime-input plaintext products, an NTT-destination
 // plaintext add, and the closing OpINTT conversion.
 func domainTestProgram() *quill.Lowered {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"porcupine/internal/bfv"
-	"porcupine/internal/plan"
 	"porcupine/internal/quill"
 )
 
@@ -124,7 +123,7 @@ func randVec(rng *rand.Rand, n int) quill.Vec {
 // plaintext inputs, the multiply/relinearization path, the planner's
 // register-reuse edge cases (diamond-shaped sharing, dead values),
 // log-depth reduction trees over a shared source, and cross-source
-// rotations that fuse into batched key-switch groups (pinned by
+// rotations that fuse into shared key-switch groups (pinned by
 // TestFuzzCorpusBatchSeeds).
 //
 // Run `go test -fuzz FuzzQuillVsBFV ./internal/backend` to explore
@@ -205,129 +204,27 @@ func FuzzQuillVsBFV(f *testing.F) {
 				t.Fatalf("plan diverges from interpreter at slot %d: %d != %d\n%s", i, pdec[i], want[i], prog)
 			}
 		}
-
-		// Fourth leg: Plan() compiles with domain assignment on, so the
-		// check above already covers NTT-resident execution. The
-		// all-coefficient plan (DisableDomainAssignment) must be
-		// bit-identical too — domain residency is a pure representation
-		// change, invisible in the output ciphertext.
-		un, err := plan.CompileWithOptions(rt.Params, rt.Encoder, lowered, plan.Options{DisableDomainAssignment: true})
-		if err != nil {
-			t.Fatalf("unassigned plan compilation: %v\n%s", err, prog)
-		}
-		uout, err := rt.NewSession().Run(un, cts, ptIn)
-		if err != nil {
-			t.Fatalf("unassigned plan execution: %v\n%s", err, prog)
-		}
-		if !sameCiphertext(rt.Params, out, uout) {
-			t.Fatalf("unassigned plan output ciphertext differs from BFV interpreter\n%s", prog)
-		}
 	})
 }
 
-// TestFuzzCorpusBatchSeeds pins the PR7 corpus seeds to the compiler
-// features they were written to exercise: should the decoder or the
-// pass pipeline change shape, this fails instead of the corpus silently
-// degrading to programs that no longer reach the tree or batched paths.
-func TestFuzzCorpusBatchSeeds(t *testing.T) {
-	cases := []struct {
-		name     string
-		data     []byte
-		batchedG int // batched key-switch groups in the default plan
-		batchedR int // rotations covered by those groups
-	}{
-		{
-			// v1 = v0 + rot(v0,2); v2 = v1 + rot(v1,1): a log-depth
-			// reduction tree over one shared source.
-			name: "tree-shared-source",
-			data: []byte{0, 0, 1, 0, 0, 3, 0, 0, 0, 1, 1, 1, 0,
-				0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18},
-		},
-		{
-			// rot(ct0,1) and rot(ct1,1): two sources, one amount — one
-			// batched group of two.
-			name: "batched-cross-source",
-			data: []byte{1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 1, 2, 0,
-				0x21, 0x22, 0x23, 0x24, 0x25, 0x26, 0x27, 0x28},
-			batchedG: 1, batchedR: 2,
-		},
-		{
-			// Sibling tree levels over ct0 and ct1: rot-2 pair then
-			// rot-1 pair — two batched groups.
-			name: "batched-tree-levels",
-			data: []byte{1, 0, 2, 0, 0, 3, 0, 0, 0, 1, 3, 1, 0, 0, 2, 1, 3, 1,
-				0x31, 0x32, 0x33, 0x34, 0x35, 0x36, 0x37, 0x38},
-			batchedG: 2, batchedR: 4,
-		},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			prog, _, _ := decodeProgram(c.data)
-			if err := prog.Validate(); err != nil {
-				t.Fatal(err)
-			}
-			lowered, err := quill.Lower(prog, quill.DefaultLowerOptions())
-			if err != nil {
-				t.Fatal(err)
-			}
-			rt, err := NewTestRuntime("PN2048", 7, lowered)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p, err := plan.CompileWithOptions(rt.Params, rt.Encoder, lowered, plan.Options{DisableSharing: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if g, r := p.BatchedGroups(); g != c.batchedG || r != c.batchedR {
-				t.Errorf("batched groups = %d (%d rotations), want %d (%d)\n%s",
-					g, r, c.batchedG, c.batchedR, prog)
-			}
-		})
-	}
+// corpusSeed is one fuzz corpus seed and the rotation shape its default
+// plan must reach.
+type corpusSeed struct {
+	name       string
+	data       []byte
+	sharedG    int // shared key-switch groups in the default plan
+	sharedR    int // rotations covered by those groups
+	replayed   int // members reusing a resident decomposition
+	numDecomps int // peak live decomposition slots
 }
 
-// TestFuzzCorpusSharedSeeds pins the PR10 corpus seeds to the
-// double-hoisted shapes they were written to reach: a single source
-// rotated by three amounts across two tree levels (one decomposition,
-// two replays) and a source whose decomposition outlives the batched
-// group it was filled for (cross-source fill, later singleton replay).
-// If the decoder or the sharing pass changes shape, this fails instead
-// of the corpus silently degrading to programs that never replay a
-// resident decomposition.
-func TestFuzzCorpusSharedSeeds(t *testing.T) {
-	cases := []struct {
-		name       string
-		data       []byte
-		sharedG    int // shared key-switch groups in the default plan
-		sharedR    int // rotations covered by those groups
-		replayed   int // members reusing a resident decomposition
-		numDecomps int // peak live decomposition slots
-	}{
-		{
-			// c1 = rot(c0,1)+rot(c0,2); c2 = rot(c1,1)+rot(c0,5): c0 is
-			// rotated at two tree levels by three amounts — one fill,
-			// two replays of the same slot. c1, rotated once, stays a
-			// plain (level-parallel) rotation.
-			name: "shared-fan-two-levels",
-			data: []byte{0, 0, 2,
-				0, 0, 1, 0, 3,
-				0, 1, 1, 0, 5,
-				0, 2, 0, 0, 0,
-				0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47, 0x48},
-			sharedG: 3, sharedR: 3, replayed: 2, numDecomps: 1,
-		},
-		{
-			// rot(c0,1)+rot(c1,1) then rot(c0,2): the amount-1 group
-			// fills both sources' slots; c0's decomposition crosses the
-			// batch window and replays in the amount-2 singleton.
-			name: "shared-cross-window",
-			data: []byte{1, 0, 1,
-				0, 0, 1, 1, 1,
-				0, 2, 0, 0, 3,
-				0x51, 0x52, 0x53, 0x54, 0x55, 0x56, 0x57, 0x58},
-			sharedG: 2, sharedR: 3, replayed: 1, numDecomps: 2,
-		},
-	}
+// checkCorpusSeeds decodes, lowers and compiles each seed and pins its
+// plan's shared groups and decomposition slots. If the decoder or the
+// sharing pass changes shape, this fails instead of the corpus silently
+// degrading to programs that never reach the shapes they were written
+// for.
+func checkCorpusSeeds(t *testing.T, cases []corpusSeed) {
+	t.Helper()
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			prog, _, _ := decodeProgram(c.data)
@@ -356,4 +253,70 @@ func TestFuzzCorpusSharedSeeds(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFuzzCorpusBatchSeeds pins the tree and cross-source corpus seeds:
+// a reduction tree over one source (no group: each value is rotated
+// once, by its own amount), two sources rotated by one amount (one
+// cross-source group) and sibling tree levels over two sources (a
+// cross-source group per level).
+func TestFuzzCorpusBatchSeeds(t *testing.T) {
+	checkCorpusSeeds(t, []corpusSeed{
+		{
+			// v1 = v0 + rot(v0,2); v2 = v1 + rot(v1,1): a log-depth
+			// reduction tree over one shared source.
+			name: "tree-shared-source",
+			data: []byte{0, 0, 1, 0, 0, 3, 0, 0, 0, 1, 1, 1, 0,
+				0x11, 0x12, 0x13, 0x14, 0x15, 0x16, 0x17, 0x18},
+		},
+		{
+			// rot(ct0,1) and rot(ct1,1): two sources, one amount — one
+			// group of two, each member filling its own slot.
+			name: "batched-cross-source",
+			data: []byte{1, 0, 1, 0, 0, 1, 1, 0, 0, 1, 1, 2, 0,
+				0x21, 0x22, 0x23, 0x24, 0x25, 0x26, 0x27, 0x28},
+			sharedG: 1, sharedR: 2, numDecomps: 2,
+		},
+		{
+			// Sibling tree levels over ct0 and ct1: rot-2 pair then
+			// rot-1 pair — two groups of two.
+			name: "batched-tree-levels",
+			data: []byte{1, 0, 2, 0, 0, 3, 0, 0, 0, 1, 3, 1, 0, 0, 2, 1, 3, 1,
+				0x31, 0x32, 0x33, 0x34, 0x35, 0x36, 0x37, 0x38},
+			sharedG: 2, sharedR: 4, numDecomps: 2,
+		},
+	})
+}
+
+// TestFuzzCorpusSharedSeeds pins the double-hoisted corpus seeds: a
+// single source rotated by three amounts across two tree levels (one
+// decomposition, two replays) and a source whose decomposition outlives
+// the cross-source group it was filled for (later singleton replay).
+func TestFuzzCorpusSharedSeeds(t *testing.T) {
+	checkCorpusSeeds(t, []corpusSeed{
+		{
+			// c1 = rot(c0,1)+rot(c0,2); c2 = rot(c1,1)+rot(c0,5): c0 is
+			// rotated at two tree levels by three amounts — one fill,
+			// two replays of the same slot. c1, rotated once, stays a
+			// plain (level-parallel) rotation.
+			name: "shared-fan-two-levels",
+			data: []byte{0, 0, 2,
+				0, 0, 1, 0, 3,
+				0, 1, 1, 0, 5,
+				0, 2, 0, 0, 0,
+				0x41, 0x42, 0x43, 0x44, 0x45, 0x46, 0x47, 0x48},
+			sharedG: 3, sharedR: 3, replayed: 2, numDecomps: 1,
+		},
+		{
+			// rot(c0,1)+rot(c1,1) then rot(c0,2): the amount-1 group
+			// fills both sources' slots; c0's decomposition crosses the
+			// batch window and replays in the amount-2 singleton.
+			name: "shared-cross-window",
+			data: []byte{1, 0, 1,
+				0, 0, 1, 1, 1,
+				0, 2, 0, 0, 3,
+				0x51, 0x52, 0x53, 0x54, 0x55, 0x56, 0x57, 0x58},
+			sharedG: 2, sharedR: 3, replayed: 1, numDecomps: 2,
+		},
+	})
 }

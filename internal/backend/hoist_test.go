@@ -11,12 +11,49 @@ import (
 	"porcupine/internal/quill"
 )
 
-// TestHoistedVsUnhoistedKernels is the third differential leg of the
-// hoisting change: on the full 11-kernel suite (hand-written baseline
-// programs — the rotation-heavy forms), the instruction-at-a-time
-// interpreter, the unhoisted plan (DisableHoisting) and the hoisted
-// plan must produce bit-identical output ciphertexts. In -short mode
-// two representative kernels run (one with a fan-out, one without).
+// unhoistedPlan returns a copy of p in which every shared rotation group
+// is split into one plain OpRotCt step per member, in member order: each
+// rotation decomposes its own source, no decomposition slot is filled or
+// replayed. It is the serial key-switch form the sharing pass replaces,
+// rebuilt from the compiled plan so that registers, domains, prepared
+// operands and lift slots stay exactly those of p. A group's members
+// never write any member's source, so the split order reads the same
+// values the group does.
+func unhoistedPlan(t *testing.T, params *bfv.Parameters, p *plan.ExecutionPlan) *plan.ExecutionPlan {
+	t.Helper()
+	q := *p
+	q.Steps = nil
+	for _, st := range p.Steps {
+		if st.Op != plan.OpSharedRot {
+			q.Steps = append(q.Steps, st)
+			continue
+		}
+		for _, m := range st.Shared {
+			q.Steps = append(q.Steps, plan.Step{
+				Op: quill.OpRotCt, Dst: m.Dst, A: m.Src, Rot: st.Rot, Pt: -1, Con: -1,
+			})
+		}
+	}
+	q.NumDecomps = 0
+	q.Levels = nil
+	q.Levelize()
+	if err := q.Validate(params); err != nil {
+		t.Fatalf("unhoisted plan invalid: %v", err)
+	}
+	if g, _, _ := q.SharedGroups(); g != 0 {
+		t.Fatalf("unhoisted plan has %d shared groups", g)
+	}
+	return &q
+}
+
+// TestHoistedVsUnhoistedKernels is the hoisting differential on the
+// full 11-kernel suite (hand-written baseline programs — the
+// rotation-heavy forms): the instruction-at-a-time interpreter, the
+// unhoisted plan (every rotation decomposes its own source) and the
+// plan itself (rotations in shared groups that decompose each source
+// once) must produce bit-identical output ciphertexts, on a serial and
+// a level-parallel session. In -short mode two representative kernels
+// run (one with a fan-out, one without).
 func TestHoistedVsUnhoistedKernels(t *testing.T) {
 	names := []string{
 		"box-blur", "dot-product", "hamming-distance", "l2-distance",
@@ -45,15 +82,14 @@ func TestHoistedVsUnhoistedKernels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			flat, err := plan.CompileWithOptions(rt.Params, rt.Encoder, l, plan.Options{DisableHoisting: true})
-			if err != nil {
-				t.Fatal(err)
+			flat := unhoistedPlan(t, rt.Params, hoisted)
+			groups, rots, replayed := hoisted.SharedGroups()
+			t.Logf("%s: %d shared groups covering %d rotations (%d replayed); decompositions %d -> %d",
+				name, groups, rots, replayed, flat.DigitDecompositions(), hoisted.DigitDecompositions())
+			if hoisted.DigitDecompositions() > flat.DigitDecompositions() {
+				t.Fatalf("hoisting increased decompositions %d -> %d",
+					flat.DigitDecompositions(), hoisted.DigitDecompositions())
 			}
-			if g, _ := flat.HoistedGroups(); g != 0 {
-				t.Fatalf("unhoisted plan has %d hoisted groups", g)
-			}
-			groups, rots := hoisted.HoistedGroups()
-			t.Logf("%s: %d hoisted groups covering %d rotations", name, groups, rots)
 
 			rng := rand.New(rand.NewSource(3))
 			assign := make([]uint64, spec.NumVars)
@@ -71,151 +107,30 @@ func TestHoistedVsUnhoistedKernels(t *testing.T) {
 			if err != nil {
 				t.Fatalf("interpreter: %v", err)
 			}
-			s := rt.NewSession()
-			flatOut, err := s.Run(flat, cts, ex.PtIn)
-			if err != nil {
-				t.Fatalf("unhoisted plan: %v", err)
-			}
-			if !sameCiphertext(rt.Params, ref, flatOut) {
-				t.Fatal("unhoisted plan not bit-identical to interpreter")
-			}
-			s2 := rt.NewSession()
-			hoistOut, err := s2.Run(hoisted, cts, ex.PtIn)
-			if err != nil {
-				t.Fatalf("hoisted plan: %v", err)
-			}
-			if !sameCiphertext(rt.Params, ref, hoistOut) {
-				t.Fatal("hoisted plan not bit-identical to interpreter")
-			}
-			dec := rt.DecryptVec(hoistOut, spec.VecLen)
-			if !spec.Matches(dec, ex) {
-				t.Fatal("hoisted output disagrees with the plaintext reference")
+			for _, par := range []int{1, 4} {
+				s := rt.NewSession()
+				s.SetParallelism(par)
+				flatOut, err := s.Run(flat, cts, ex.PtIn)
+				if err != nil {
+					t.Fatalf("unhoisted plan (par %d): %v", par, err)
+				}
+				if !sameCiphertext(rt.Params, ref, flatOut) {
+					t.Fatalf("unhoisted plan (par %d) not bit-identical to interpreter", par)
+				}
+				s2 := rt.NewSession()
+				s2.SetParallelism(par)
+				hoistOut, err := s2.Run(hoisted, cts, ex.PtIn)
+				if err != nil {
+					t.Fatalf("hoisted plan (par %d): %v", par, err)
+				}
+				if !sameCiphertext(rt.Params, ref, hoistOut) {
+					t.Fatalf("hoisted plan (par %d) not bit-identical to interpreter", par)
+				}
+				dec := rt.DecryptVec(hoistOut, spec.VecLen)
+				if !spec.Matches(dec, ex) {
+					t.Fatal("hoisted output disagrees with the plaintext reference")
+				}
 			}
 		})
-	}
-}
-
-// TestHoistedDeepFanOutWraparound pins the planner + executor on a
-// hand-written deep fan-out (8 distinct rotations of one source,
-// positive and negative/wraparound amounts, on the full HE row so
-// canonicalization is active), plus rotation CSE: a duplicated
-// rotation must collapse into the fan instead of executing twice.
-func TestHoistedDeepFanOutWraparound(t *testing.T) {
-	vecLen := 1024 // PN2048 full row
-	rots := []int{1, 2, 4, 8, 16, -1, -7, 1000}
-	l := &quill.Lowered{VecLen: vecLen, NumCtInputs: 1}
-	next := 1
-	for _, r := range rots {
-		l.Instrs = append(l.Instrs, quill.LInstr{Op: quill.OpRotCt, Dst: next, A: 0, Rot: r})
-		next++
-	}
-	// Duplicate of the first rotation: same value, must CSE away.
-	l.Instrs = append(l.Instrs, quill.LInstr{Op: quill.OpRotCt, Dst: next, A: 0, Rot: rots[0]})
-	dup := next
-	next++
-	// Sum everything (the duplicate too, via its aliased register).
-	acc := 1
-	for v := 2; v < dup; v++ {
-		l.Instrs = append(l.Instrs, quill.LInstr{Op: quill.OpAddCtCt, Dst: next, A: acc, B: v})
-		acc = next
-		next++
-	}
-	l.Instrs = append(l.Instrs, quill.LInstr{Op: quill.OpAddCtCt, Dst: next, A: acc, B: dup})
-	l.Output = next
-
-	rt, err := NewTestRuntime("PN2048", 31, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := plan.CompileWithOptions(rt.Params, rt.Encoder, l, plan.Options{DisableSharing: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// -1 ≡ 1023 and 1000 stay distinct; the duplicate rot 1 vanishes:
-	// one group of 8.
-	if g, r := p.HoistedGroups(); g != 1 || r != len(rots) {
-		t.Fatalf("hoisted groups = %d (%d rotations), want 1 (%d)", g, r, len(rots))
-	}
-
-	rng := rand.New(rand.NewSource(12))
-	v := make(quill.Vec, vecLen)
-	for j := range v {
-		v[j] = rng.Uint64() % quill.Modulus
-	}
-	ct, err := rt.EncryptVec(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := rt.RunInterpreter(l, []*bfv.Ciphertext{ct}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := rt.Run(l, []*bfv.Ciphertext{ct}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameCiphertext(rt.Params, ref, got) {
-		t.Fatal("hoisted deep fan-out not bit-identical to interpreter")
-	}
-	want, err := quill.RunLowered(l, quill.ConcreteSem{}, []quill.Vec{v}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dec := rt.DecryptVec(got, vecLen)
-	for i := range want {
-		if dec[i] != want[i] {
-			t.Fatalf("slot %d: %d != %d", i, dec[i], want[i])
-		}
-	}
-}
-
-// TestHoistedPlanAllocationFree extends the 0-alloc serving guarantee
-// to plans with hoisted groups: the decomposition scratch is created
-// once and reused.
-func TestHoistedPlanAllocationFree(t *testing.T) {
-	if raceEnabled {
-		t.Skip("race instrumentation allocates; allocation counts are meaningless under -race")
-	}
-	l := &quill.Lowered{
-		VecLen: 1024, NumCtInputs: 1,
-		Instrs: []quill.LInstr{
-			{Op: quill.OpRotCt, Dst: 1, A: 0, Rot: 1},
-			{Op: quill.OpRotCt, Dst: 2, A: 0, Rot: 2},
-			{Op: quill.OpRotCt, Dst: 3, A: 0, Rot: -5},
-			{Op: quill.OpAddCtCt, Dst: 4, A: 1, B: 2},
-			{Op: quill.OpAddCtCt, Dst: 5, A: 4, B: 3},
-		},
-		Output: 5,
-	}
-	rt, err := NewTestRuntime("PN2048", 5, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := rt.Plan(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.NumDecomps != 1 {
-		t.Fatalf("NumDecomps = %d, want 1", p.NumDecomps)
-	}
-	v := make(quill.Vec, l.VecLen)
-	for j := range v {
-		v[j] = uint64(j % 61)
-	}
-	ct, err := rt.EncryptVec(v)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := rt.NewSession()
-	if _, err := s.Run(p, []*bfv.Ciphertext{ct}, nil); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := s.Run(p, []*bfv.Ciphertext{ct}, nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state hoisted plan execution allocates %.0f objects/run, want 0", allocs)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"porcupine/internal/baseline"
 	"porcupine/internal/bfv"
 	"porcupine/internal/kernels"
-	"porcupine/internal/plan"
 	"porcupine/internal/quill"
 )
 
@@ -172,29 +171,33 @@ func TestParallelSessionsConcurrent(t *testing.T) {
 }
 
 // TestLevelizedScheduleShape sanity-checks the levelizer on a plan
-// with known structure: independent rotations of one source must share
-// a level, and a chain of dependent adds must occupy distinct levels.
+// with known structure: independent rotations must share a level, and
+// a chain of dependent adds must occupy distinct levels. The rotations
+// read distinct sources by distinct amounts, so they stay plain steps
+// (rotations of one source, or by one amount, would form shared
+// groups).
 func TestLevelizedScheduleShape(t *testing.T) {
 	l := &quill.Lowered{
-		VecLen: 1024, NumCtInputs: 1,
+		VecLen: 1024, NumCtInputs: 3,
 		Instrs: []quill.LInstr{
-			{Op: quill.OpRotCt, Dst: 1, A: 0, Rot: 1},
-			{Op: quill.OpRotCt, Dst: 2, A: 0, Rot: 2},
-			{Op: quill.OpRotCt, Dst: 3, A: 0, Rot: 3},
-			{Op: quill.OpAddCtCt, Dst: 4, A: 1, B: 2},
-			{Op: quill.OpAddCtCt, Dst: 5, A: 4, B: 3},
+			{Op: quill.OpRotCt, Dst: 3, A: 0, Rot: 1},
+			{Op: quill.OpRotCt, Dst: 4, A: 1, Rot: 2},
+			{Op: quill.OpRotCt, Dst: 5, A: 2, Rot: 3},
+			{Op: quill.OpAddCtCt, Dst: 6, A: 3, B: 4},
+			{Op: quill.OpAddCtCt, Dst: 7, A: 6, B: 5},
 		},
-		Output: 5,
+		Output: 7,
 	}
 	rt, err := NewTestRuntime("PN2048", 5, l)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hoisting would fuse the three rotations into one group step;
-	// disable it so the raw level structure is visible.
-	p, err := plan.CompileWithOptions(rt.Params, rt.Encoder, l, plan.Options{DisableHoisting: true})
+	p, err := rt.Plan(l)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if g, _, _ := p.SharedGroups(); g != 0 {
+		t.Fatalf("plan has %d shared groups, want only plain rotations", g)
 	}
 	if p.Levels == nil {
 		t.Fatal("no levels")

@@ -182,8 +182,8 @@ func PolynomialRegression() *quill.Program {
 // to p and points the output at the final accumulator. This is the
 // naive serial form of the slot reduction the depth-minimized
 // baselines write as a balanced tree: m−1 rotations, each of a
-// DIFFERENT source, so rotation sharing, hoisting, and domain
-// assignment all see fan-out 1. It computes exactly the same function
+// DIFFERENT source, so rotation sharing and domain assignment both see
+// fan-out 1. It computes exactly the same function
 // as the tree (the same multiset of literal offsets {0..m-1}).
 func serialReduce(p *quill.Program, base, m int) {
 	acc := base
@@ -204,8 +204,7 @@ func SerialReductionNames() []string {
 // baseline, but the slot reduction written as a fan-out-1 chain
 // (dot-product and l2-distance: 7 rotations; hamming-distance: 3).
 // These are the "before" programs of the tree-reduction rewrite
-// (quill.TreeReduceLowered) and the serial legs of benchrot's
-// serial-vs-tree comparison.
+// (quill.TreeReduceLowered), which the baseline tests run through it.
 func SerialReduction(name string) (*quill.Program, error) {
 	switch name {
 	case "dot-product":

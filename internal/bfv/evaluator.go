@@ -435,17 +435,18 @@ func (ev *Evaluator) mulBigInto(out *Ciphertext, a, b *Ciphertext) error {
 // Decomposition holds the hoisted key-switching state of one
 // degree-1 ciphertext: the RNS digits of its c1 component, lifted and
 // forward-NTT'd once (DecomposeForKeySwitch) and then reusable across
-// any number of rotations of that ciphertext
-// (RotateRowsHoistedInto). Create one with Parameters.NewDecomposition
-// and keep it per execution session: it is scratch, not a value — its
-// contents are valid only until the next DecomposeForKeySwitch.
+// any number of rotations of that ciphertext, at any amount
+// (RotateRowsShared*, shared.go). Create one with
+// Parameters.NewDecomposition and keep it per execution session — the
+// backend sizes a slice of them to the plan's decomposition slots
+// (ExecutionPlan.NumDecomps): it is scratch, not a value, and its
+// contents are valid only until the next Decompose* call.
 type Decomposition struct {
 	d *ring.Decomposition
 	// c0NTT caches the forward transform of the decomposed
-	// ciphertext's c0 for NTT-destined fan members
-	// (RotateRowsHoistedIntoNTT): the first such rotation pays one
-	// NTT, the rest of the fan shares it. Invalidated by every
-	// Decompose* call.
+	// ciphertext's c0 for NTT-destined rotations
+	// (RotateRowsSharedIntoNTT): the first such rotation pays one NTT,
+	// every later one shares it. Invalidated by every Decompose* call.
 	c0NTT *ring.Poly
 	c0Set bool
 }
@@ -459,37 +460,15 @@ func (p *Parameters) NewDecomposition() *Decomposition {
 // DecomposeForKeySwitch fills dec with the key-switching digits of
 // ct's c1 component — the decompose-once half of hoisted rotation.
 // ct must have degree 1. After this call, any number of
-// RotateRowsHoistedInto(dst, ct, dec, k) calls rotate ct at the cost
-// of a digit permutation instead of a fresh decomposition (K digit
-// lifts + K forward NTTs each).
+// RotateRowsShared* calls rotate ct at the cost of a digit permutation
+// instead of a fresh decomposition (K digit lifts + K forward NTTs
+// each).
 func (ev *Evaluator) DecomposeForKeySwitch(dec *Decomposition, ct *Ciphertext) error {
 	if ct.Degree() != 1 {
 		return fmt.Errorf("bfv: DecomposeForKeySwitch: ciphertext degree %d, want 1", ct.Degree())
 	}
 	ev.params.ringQ.DecomposeNTT(dec.d, ct.Value[1])
 	dec.c0Set = false
-	return nil
-}
-
-// RotateRowsHoistedInto sets dst = ct rotated by k slots, reusing the
-// hoisted decomposition dec (which must hold ct's digits, see
-// DecomposeForKeySwitch). Bit-identical to RotateRowsInto — the
-// serial path runs on the same decompose-permute-accumulate
-// primitives — but pays only (digit permute + lazy inner products +
-// 2 INTTs) per rotation. dst may alias ct.
-func (ev *Evaluator) RotateRowsHoistedInto(dst, ct *Ciphertext, dec *Decomposition, k int) error {
-	if err := ev.checkDegree("RotateRowsHoisted", ct, 1); err != nil {
-		return err
-	}
-	g := ev.params.ringQ.GaloisElementForRotation(k)
-	if g == 1 {
-		ev.copyCiphertextInto(dst, ct)
-		return nil
-	}
-	if ev.gks == nil || !ev.gks.HasElement(g) {
-		return fmt.Errorf("bfv: no Galois key for element %d", g)
-	}
-	ev.galoisFromDecomp(dst, ct, dec.d, ev.gks.keys[g], g)
 	return nil
 }
 
@@ -505,9 +484,9 @@ func (ev *Evaluator) galoisFromDecomp(dst, ct *Ciphertext, dec *ring.Decompositi
 }
 
 // galoisFromDecompTables is galoisFromDecomp with both automorphism
-// tables resolved by the caller — the prefetched form behind batched
-// cross-source key switching (BeginBatchedRotation resolves the
-// element, key, and tables once per group).
+// tables resolved by the caller — the prefetched form behind shared
+// key switching (BeginBatchedRotation resolves the element, key, and
+// tables once per group).
 func (ev *Evaluator) galoisFromDecompTables(dst, ct *Ciphertext, dec *ring.Decomposition, key *switchingKey, perm, autoTab []uint32) {
 	r := ev.params.ringQ
 	// The lazy accumulation writes every coefficient of its output, so

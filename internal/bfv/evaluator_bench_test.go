@@ -143,12 +143,16 @@ func BenchmarkEvaluatorRotateFanOut(b *testing.B) {
 		})
 		b.Run(preset+"/hoisted", func(b *testing.B) {
 			dec := params.NewDecomposition()
+			var br BatchedRotation
 			for i := 0; i < b.N; i++ {
 				if err := ev.DecomposeForKeySwitch(dec, ct); err != nil {
 					b.Fatal(err)
 				}
 				for j, k := range steps {
-					if err := ev.RotateRowsHoistedInto(outs[j], ct, dec, k); err != nil {
+					if err := ev.BeginBatchedRotation(&br, k); err != nil {
+						b.Fatal(err)
+					}
+					if err := ev.RotateRowsSharedInto(outs[j], ct, dec, &br); err != nil {
 						b.Fatal(err)
 					}
 				}

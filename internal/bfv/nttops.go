@@ -25,14 +25,14 @@ import (
 //     (f0, f1 in galoisFromDecomp), so an NTT destination SKIPS the
 //     two inverse NTTs and instead permutes the source's c0 in the
 //     evaluation domain (AutomorphismNTT) — at most one forward NTT
-//     per source, shared across a hoisted fan;
+//     per decomposed source, shared by all of its rotations;
 //   - explicit domain conversions (NTTInto / INTTInto) for the
 //     plan's OpNTT / OpINTT steps.
 //
 // Every NTT-domain form is the exact conjugate of its coefficient
 // counterpart under the ring's fully-normalizing NTT (outputs land in
 // [0, p) canonically), so converting an NTT-resident result back to
-// the coefficient domain reproduces the legacy path bit for bit —
+// the coefficient domain reproduces the coefficient path bit for bit —
 // the property the plan differential tests pin down.
 
 // NTTPlaintext is a plaintext operand held in the evaluation domain,
@@ -205,7 +205,7 @@ func (ev *Evaluator) galoisFromDecompToNTTPerm(dst *Ciphertext, c0NTT *ring.Poly
 // DecomposeForKeySwitchNTT is DecomposeForKeySwitch for an
 // NTT-resident ct: its c1 is inverse-transformed into scratch first
 // (digit extraction is a coefficient-wise residue computation). After
-// this call, RotateRowsHoistedNTTIntoNTT rotates ct any number of
+// this call, RotateRowsSharedNTTIntoNTT rotates ct any number of
 // times.
 func (ev *Evaluator) DecomposeForKeySwitchNTT(dec *Decomposition, ct *Ciphertext) error {
 	if ct.Degree() != 1 {
@@ -218,56 +218,6 @@ func (ev *Evaluator) DecomposeForKeySwitchNTT(dec *Decomposition, ct *Ciphertext
 	r.DecomposeNTT(dec.d, c1)
 	r.PutPoly(c1)
 	dec.c0Set = false
-	return nil
-}
-
-// RotateRowsHoistedIntoNTT is RotateRowsHoistedInto with an
-// NTT-resident destination: the coefficient-domain source's c0 is
-// forward-transformed once per decomposition (cached on dec and shared
-// by every NTT-destined rotation of the fan), after which each
-// rotation costs zero external transforms — versus two inverse NTTs
-// on the coefficient path. INTTInto(dst) reproduces the coefficient
-// result bit for bit. dst may alias ct.
-func (ev *Evaluator) RotateRowsHoistedIntoNTT(dst, ct *Ciphertext, dec *Decomposition, k int) error {
-	if err := ev.checkDegree("RotateRowsHoistedIntoNTT", ct, 1); err != nil {
-		return err
-	}
-	r := ev.params.ringQ
-	g := r.GaloisElementForRotation(k)
-	if g == 1 {
-		ev.NTTInto(dst, ct)
-		return nil
-	}
-	if ev.gks == nil || !ev.gks.HasElement(g) {
-		return fmt.Errorf("bfv: no Galois key for element %d", g)
-	}
-	if !dec.c0Set {
-		r.CopyInto(dec.c0NTT, ct.Value[0])
-		r.NTT(dec.c0NTT)
-		dec.c0Set = true
-	}
-	ev.galoisFromDecompToNTT(dst, dec.c0NTT, dec.d, ev.gks.keys[g], g)
-	return nil
-}
-
-// RotateRowsHoistedNTTIntoNTT rotates an NTT-resident source into an
-// NTT-resident destination using a decomposition from
-// DecomposeForKeySwitchNTT. The source's c0 is already in the
-// evaluation domain, so the rotation itself performs no transforms.
-// dst may alias ct.
-func (ev *Evaluator) RotateRowsHoistedNTTIntoNTT(dst, ct *Ciphertext, dec *Decomposition, k int) error {
-	if err := ev.checkDegree("RotateRowsHoistedNTTIntoNTT", ct, 1); err != nil {
-		return err
-	}
-	g := ev.params.ringQ.GaloisElementForRotation(k)
-	if g == 1 {
-		ev.copyCiphertextInto(dst, ct)
-		return nil
-	}
-	if ev.gks == nil || !ev.gks.HasElement(g) {
-		return fmt.Errorf("bfv: no Galois key for element %d", g)
-	}
-	ev.galoisFromDecompToNTT(dst, ct.Value[0], dec.d, ev.gks.keys[g], g)
 	return nil
 }
 

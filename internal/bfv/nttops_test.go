@@ -174,6 +174,7 @@ func TestRotateNTTVariants(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	var br BatchedRotation
 	got, back := tc.params.NewCiphertextUninit(1), tc.params.NewCiphertextUninit(1)
 	for _, k := range append(steps, 0) {
 		ref, err := tc.ev.RotateRows(ct, k)
@@ -195,17 +196,20 @@ func TestRotateNTTVariants(t *testing.T) {
 		if !tc.params.CiphertextEqual(refN, got) {
 			t.Fatalf("rot %d: RotateRowsNTTIntoNTT != NTT(RotateRows)", k)
 		}
-		if err := tc.ev.RotateRowsHoistedIntoNTT(got, ct, decC, k); err != nil {
+		if err := tc.ev.BeginBatchedRotation(&br, k); err != nil {
+			t.Fatalf("rot %d: %v", k, err)
+		}
+		if err := tc.ev.RotateRowsSharedIntoNTT(got, ct, decC, &br); err != nil {
 			t.Fatalf("rot %d: %v", k, err)
 		}
 		if !tc.params.CiphertextEqual(refN, got) {
-			t.Fatalf("rot %d: RotateRowsHoistedIntoNTT != NTT(RotateRows)", k)
+			t.Fatalf("rot %d: RotateRowsSharedIntoNTT != NTT(RotateRows)", k)
 		}
-		if err := tc.ev.RotateRowsHoistedNTTIntoNTT(got, ctN, decN, k); err != nil {
+		if err := tc.ev.RotateRowsSharedNTTIntoNTT(got, ctN, decN, &br); err != nil {
 			t.Fatalf("rot %d: %v", k, err)
 		}
 		if !tc.params.CiphertextEqual(refN, got) {
-			t.Fatalf("rot %d: RotateRowsHoistedNTTIntoNTT != NTT(RotateRows)", k)
+			t.Fatalf("rot %d: RotateRowsSharedNTTIntoNTT != NTT(RotateRows)", k)
 		}
 		tc.ev.INTTInto(back, got)
 		if !tc.params.CiphertextEqual(ref, back) {
@@ -213,29 +217,34 @@ func TestRotateNTTVariants(t *testing.T) {
 		}
 	}
 
-	// A mixed fan off one decomposition: coefficient-destination
-	// members are unaffected by the NTT members sharing the cache.
-	mixRef := tc.params.NewCiphertextUninit(1)
-	if err := tc.ev.RotateRowsHoistedInto(mixRef, ct, decC, 2); err != nil {
-		t.Fatal(err)
+	// Mixed rotations off one decomposition: coefficient-destination
+	// rotations are unaffected by NTT-destined ones sharing the cache.
+	rot := func(dst *Ciphertext, k int, ntt bool) {
+		t.Helper()
+		if err := tc.ev.BeginBatchedRotation(&br, k); err != nil {
+			t.Fatal(err)
+		}
+		rotate := tc.ev.RotateRowsSharedInto
+		if ntt {
+			rotate = tc.ev.RotateRowsSharedIntoNTT
+		}
+		if err := rotate(dst, ct, decC, &br); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := tc.ev.RotateRowsHoistedIntoNTT(got, ct, decC, 1); err != nil {
-		t.Fatal(err)
-	}
-	mix := tc.params.NewCiphertextUninit(1)
-	if err := tc.ev.RotateRowsHoistedInto(mix, ct, decC, 2); err != nil {
-		t.Fatal(err)
-	}
+	mixRef, mix := tc.params.NewCiphertextUninit(1), tc.params.NewCiphertextUninit(1)
+	rot(mixRef, 2, false)
+	rot(got, 1, true)
+	rot(mix, 2, false)
 	if !tc.params.CiphertextEqual(mixRef, mix) {
-		t.Fatal("coefficient fan member changed after an NTT member used the shared cache")
+		t.Fatal("coefficient rotation changed after an NTT-destined one used the shared cache")
 	}
 
 	// Missing-key errors surface on every new path.
 	for name, call := range map[string]func() error{
-		"serial-into-ntt":  func() error { return tc.ev.RotateRowsIntoNTT(got, ct, 700) },
-		"ntt-into-ntt":     func() error { return tc.ev.RotateRowsNTTIntoNTT(got, ctN, 700) },
-		"hoisted-into-ntt": func() error { return tc.ev.RotateRowsHoistedIntoNTT(got, ct, decC, 700) },
-		"hoisted-ntt":      func() error { return tc.ev.RotateRowsHoistedNTTIntoNTT(got, ctN, decN, 700) },
+		"serial-into-ntt": func() error { return tc.ev.RotateRowsIntoNTT(got, ct, 700) },
+		"ntt-into-ntt":    func() error { return tc.ev.RotateRowsNTTIntoNTT(got, ctN, 700) },
+		"shared-group":    func() error { return tc.ev.BeginBatchedRotation(&br, 700) },
 	} {
 		if err := call(); err == nil {
 			t.Fatalf("%s: rotation without a Galois key did not fail", name)
@@ -243,8 +252,8 @@ func TestRotateNTTVariants(t *testing.T) {
 	}
 }
 
-// TestNTTRotationSteadyStateAllocs: a mixed NTT/coefficient fan stays
-// allocation-free once the pools are warm.
+// TestNTTRotationSteadyStateAllocs: mixed NTT/coefficient rotations
+// off one decomposition stay allocation-free once the pools are warm.
 func TestNTTRotationSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -256,19 +265,28 @@ func TestNTTRotationSteadyStateAllocs(t *testing.T) {
 	m := tc.params.NewMulPlainNTT(pt)
 	dec := tc.params.NewDecomposition()
 	o1, o2, o3 := tc.params.NewCiphertext(1), tc.params.NewCiphertext(1), tc.params.NewCiphertext(1)
+	var br BatchedRotation
+	rot := func(dst *Ciphertext, k int, ntt bool) {
+		if err := tc.ev.BeginBatchedRotation(&br, k); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		if ntt {
+			err = tc.ev.RotateRowsSharedIntoNTT(dst, ct, dec, &br)
+		} else {
+			err = tc.ev.RotateRowsSharedInto(dst, ct, dec, &br)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 	warm := func() {
 		if err := tc.ev.DecomposeForKeySwitch(dec, ct); err != nil {
 			t.Fatal(err)
 		}
-		if err := tc.ev.RotateRowsHoistedIntoNTT(o1, ct, dec, 1); err != nil {
-			t.Fatal(err)
-		}
-		if err := tc.ev.RotateRowsHoistedIntoNTT(o2, ct, dec, 2); err != nil {
-			t.Fatal(err)
-		}
-		if err := tc.ev.RotateRowsHoistedInto(o3, ct, dec, 5); err != nil {
-			t.Fatal(err)
-		}
+		rot(o1, 1, true)
+		rot(o2, 2, true)
+		rot(o3, 5, false)
 		tc.ev.AddInto(o1, o1, o2)
 		tc.ev.MulPlainNTTIntoNTT(o1, o1, m)
 		tc.ev.INTTInto(o1, o1)

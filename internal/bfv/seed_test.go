@@ -59,40 +59,28 @@ func TestSeedInvariant(t *testing.T) {
 	// never the destination, so writing into a fresh ciphertext is the
 	// reference for writing into a seeded one.
 	ops := map[string]func(dst *Ciphertext) error{
-		"AddInto":                     func(d *Ciphertext) error { ev.AddInto(d, x, y); return nil },
-		"SubInto":                     func(d *Ciphertext) error { ev.SubInto(d, x, y); return nil },
-		"NegInto":                     func(d *Ciphertext) error { ev.NegInto(d, x); return nil },
-		"AddPlainInto":                func(d *Ciphertext) error { ev.AddPlainInto(d, x, pt); return nil },
-		"SubPlainInto":                func(d *Ciphertext) error { ev.SubPlainInto(d, x, pt); return nil },
-		"MulPlainInto":                func(d *Ciphertext) error { ev.MulPlainInto(d, x, pt); return nil },
-		"MulInto":                     func(d *Ciphertext) error { return ev.MulInto(d, x, y) },
-		"MulLiftedInto":               func(d *Ciphertext) error { ev.MulLiftedInto(d, lx, ly); return nil },
-		"RelinearizeInto":             func(d *Ciphertext) error { return ev.RelinearizeInto(d, prod) },
-		"MulRelinInto":                func(d *Ciphertext) error { return ev.MulRelinInto(d, x, y) },
-		"RotateRowsInto":              func(d *Ciphertext) error { return ev.RotateRowsInto(d, x, 1) },
-		"RotateColumnsInto":           func(d *Ciphertext) error { return ev.RotateColumnsInto(d, x) },
-		"RotateRowsHoistedInto":       func(d *Ciphertext) error { return ev.RotateRowsHoistedInto(d, x, dec, 1) },
-		"NTTInto":                     func(d *Ciphertext) error { ev.NTTInto(d, x); return nil },
-		"INTTInto":                    func(d *Ciphertext) error { ev.INTTInto(d, xN); return nil },
-		"MulPlainPreparedInto":        func(d *Ciphertext) error { ev.MulPlainPreparedInto(d, x, mul); return nil },
-		"MulPlainPreparedIntoNTT":     func(d *Ciphertext) error { ev.MulPlainPreparedIntoNTT(d, x, mul); return nil },
-		"MulPlainNTTInto":             func(d *Ciphertext) error { ev.MulPlainNTTInto(d, xN, mul); return nil },
-		"MulPlainNTTIntoNTT":          func(d *Ciphertext) error { ev.MulPlainNTTIntoNTT(d, xN, mul); return nil },
-		"AddPlainNTTIntoNTT":          func(d *Ciphertext) error { ev.AddPlainNTTIntoNTT(d, xN, add); return nil },
-		"SubPlainNTTIntoNTT":          func(d *Ciphertext) error { ev.SubPlainNTTIntoNTT(d, xN, add); return nil },
-		"RotateRowsHoistedIntoNTT":    func(d *Ciphertext) error { return ev.RotateRowsHoistedIntoNTT(d, x, dec, 1) },
-		"RotateRowsHoistedNTTIntoNTT": func(d *Ciphertext) error { return ev.RotateRowsHoistedNTTIntoNTT(d, xN, decN, 1) },
-		"RotateRowsIntoNTT":           func(d *Ciphertext) error { return ev.RotateRowsIntoNTT(d, x, 1) },
-		"RotateRowsNTTIntoNTT":        func(d *Ciphertext) error { return ev.RotateRowsNTTIntoNTT(d, xN, 1) },
-		"RotateRowsBatchedInto": func(d *Ciphertext) error {
-			return ev.RotateRowsBatchedInto(d, x, params.NewDecomposition(), &br)
-		},
-		"RotateRowsBatchedIntoNTT": func(d *Ciphertext) error {
-			return ev.RotateRowsBatchedIntoNTT(d, x, params.NewDecomposition(), &br)
-		},
-		"RotateRowsBatchedNTTIntoNTT": func(d *Ciphertext) error {
-			return ev.RotateRowsBatchedNTTIntoNTT(d, xN, params.NewDecomposition(), &br)
-		},
+		"AddInto":                    func(d *Ciphertext) error { ev.AddInto(d, x, y); return nil },
+		"SubInto":                    func(d *Ciphertext) error { ev.SubInto(d, x, y); return nil },
+		"NegInto":                    func(d *Ciphertext) error { ev.NegInto(d, x); return nil },
+		"AddPlainInto":               func(d *Ciphertext) error { ev.AddPlainInto(d, x, pt); return nil },
+		"SubPlainInto":               func(d *Ciphertext) error { ev.SubPlainInto(d, x, pt); return nil },
+		"MulPlainInto":               func(d *Ciphertext) error { ev.MulPlainInto(d, x, pt); return nil },
+		"MulInto":                    func(d *Ciphertext) error { return ev.MulInto(d, x, y) },
+		"MulLiftedInto":              func(d *Ciphertext) error { ev.MulLiftedInto(d, lx, ly); return nil },
+		"RelinearizeInto":            func(d *Ciphertext) error { return ev.RelinearizeInto(d, prod) },
+		"MulRelinInto":               func(d *Ciphertext) error { return ev.MulRelinInto(d, x, y) },
+		"RotateRowsInto":             func(d *Ciphertext) error { return ev.RotateRowsInto(d, x, 1) },
+		"RotateColumnsInto":          func(d *Ciphertext) error { return ev.RotateColumnsInto(d, x) },
+		"NTTInto":                    func(d *Ciphertext) error { ev.NTTInto(d, x); return nil },
+		"INTTInto":                   func(d *Ciphertext) error { ev.INTTInto(d, xN); return nil },
+		"MulPlainPreparedInto":       func(d *Ciphertext) error { ev.MulPlainPreparedInto(d, x, mul); return nil },
+		"MulPlainPreparedIntoNTT":    func(d *Ciphertext) error { ev.MulPlainPreparedIntoNTT(d, x, mul); return nil },
+		"MulPlainNTTInto":            func(d *Ciphertext) error { ev.MulPlainNTTInto(d, xN, mul); return nil },
+		"MulPlainNTTIntoNTT":         func(d *Ciphertext) error { ev.MulPlainNTTIntoNTT(d, xN, mul); return nil },
+		"AddPlainNTTIntoNTT":         func(d *Ciphertext) error { ev.AddPlainNTTIntoNTT(d, xN, add); return nil },
+		"SubPlainNTTIntoNTT":         func(d *Ciphertext) error { ev.SubPlainNTTIntoNTT(d, xN, add); return nil },
+		"RotateRowsIntoNTT":          func(d *Ciphertext) error { return ev.RotateRowsIntoNTT(d, x, 1) },
+		"RotateRowsNTTIntoNTT":       func(d *Ciphertext) error { return ev.RotateRowsNTTIntoNTT(d, xN, 1) },
 		"RotateRowsSharedInto":       func(d *Ciphertext) error { return ev.RotateRowsSharedInto(d, x, dec, &br) },
 		"RotateRowsSharedIntoNTT":    func(d *Ciphertext) error { return ev.RotateRowsSharedIntoNTT(d, x, dec, &br) },
 		"RotateRowsSharedNTTIntoNTT": func(d *Ciphertext) error { return ev.RotateRowsSharedNTTIntoNTT(d, xN, decN, &br) },

@@ -14,7 +14,7 @@ import "porcupine/internal/quill"
 // — so a rotation that feeds a pointwise chain can skip its two
 // output INTTs entirely (its destination stays in the evaluation
 // domain), at the price of one forward NTT of the source's c0 that a
-// hoisted fan shares across all of its NTT-destined members. True
+// rotation fan shares across all of its NTT-destined members. True
 // domain boundaries remain: tensor products and relinearization read
 // coefficient operands, and the program output leaves in the
 // coefficient domain; the compiler materializes explicit OpNTT/OpINTT
@@ -25,7 +25,7 @@ import "porcupine/internal/quill"
 // key-switching inner products):
 //
 //	rotation, coeff src → coeff dst: 2   (INTT f0, INTT f1)
-//	rotation, coeff src → NTT dst:   1   (NTT c0; shared per hoisted fan)
+//	rotation, coeff src → NTT dst:   1   (NTT c0; shared per fan)
 //	rotation, NTT src → NTT dst:     1   (INTT of c1 for digit extraction)
 //	rotation, NTT src → coeff dst:   —   (forbidden; no such variant)
 //	relinearization:                 2   (INTT f0, INTT f1; operands pinned coeff)

@@ -7,31 +7,20 @@ import (
 	"porcupine/internal/quill"
 )
 
-// compileUnassigned compiles with domain assignment disabled — the
-// all-coefficient reference form every assigned plan is differentially
-// checked against.
-func compileUnassigned(t *testing.T, l *quill.Lowered) *ExecutionPlan {
-	t.Helper()
-	params, enc := testEnv(t)
-	p, err := CompileWithOptions(params, enc, l, Options{DisableDomainAssignment: true})
-	if err != nil {
-		t.Fatalf("CompileWithOptions: %v\n%s", err, l)
-	}
-	return p
-}
-
 // TestDomainAssignedKernelTransformCounts pins the static
-// key-switch-external transform counts of every baseline kernel, both
-// as compiled all-coefficient and with domain assignment. The pass
-// must never increase the count, and must strictly decrease it on the
+// key-switch-external transform counts of every baseline kernel's plan.
+// Each is checked against the kernel's all-coefficient count, recorded
+// when plans could still be compiled without domain assignment: the
+// pass must never exceed it, and must strictly beat it on the
 // pointwise-heavy kernels — the paper's Gx/Gy/Sobel/Harris family plus
 // the reduction kernels whose rotation trees stay in the evaluation
 // domain.
 func TestDomainAssignedKernelTransformCounts(t *testing.T) {
-	// name -> {unassigned, assigned} external transforms. The
-	// unassigned column counts legacy (unprepared) plaintext
-	// multiplication at 5 transforms per step; the assigned column
-	// counts prepared operands under the model in domain.go.
+	// name -> {all-coefficient, assigned} external transforms. The
+	// all-coefficient column priced plaintext multiplication at 5
+	// transforms per step (4 row transforms + the per-call operand NTT);
+	// the assigned column counts prepared operands under the model in
+	// domain.go.
 	want := map[string][2]int{
 		"box-blur":              {6, 5},
 		"dot-product":           {11, 8},
@@ -57,28 +46,23 @@ func TestDomainAssignedKernelTransformCounts(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		un := compileUnassigned(t, l)
 		as := compile(t, l)
-		gotUn, gotAs := un.ExternalTransforms(), as.ExternalTransforms()
-		if gotUn != w[0] || gotAs != w[1] {
-			t.Errorf("%s: transforms unassigned=%d assigned=%d, want %d and %d",
-				name, gotUn, gotAs, w[0], w[1])
+		gotAs := as.ExternalTransforms()
+		if gotAs != w[1] {
+			t.Errorf("%s: transforms = %d, want %d", name, gotAs, w[1])
 		}
-		if gotAs > gotUn {
-			t.Errorf("%s: domain assignment increased transforms %d -> %d", name, gotUn, gotAs)
+		if gotAs > w[0] {
+			t.Errorf("%s: domain assignment increased transforms %d -> %d", name, w[0], gotAs)
 		}
-		if gotAs < gotUn {
+		if gotAs < w[0] {
 			strict++
 		}
-		// Both forms must satisfy decode-time validation, and the
-		// assigned plan must leave its output in coefficient form.
-		if err := un.Validate(params); err != nil {
-			t.Errorf("%s: unassigned plan fails Validate: %v", name, err)
-		}
+		// The plan must satisfy decode-time validation and leave its
+		// output in coefficient form.
 		if err := as.Validate(params); err != nil {
 			t.Errorf("%s: assigned plan fails Validate: %v", name, err)
 		}
-		if as.codeDomain(as.Out) != DomCoeff {
+		if as.CodeDomain(as.Out) != DomCoeff {
 			t.Errorf("%s: assigned plan output register is NTT-resident", name)
 		}
 	}
@@ -125,26 +109,7 @@ func TestDomainAssignmentStructure(t *testing.T) {
 	}
 }
 
-// TestDisableDomainAssignment: the differential-reference escape hatch
-// must produce a pure coefficient-domain plan — no NTT registers, no
-// conversion steps, no prepared operands.
-func TestDisableDomainAssignment(t *testing.T) {
-	for _, name := range baseline.Names() {
-		l, err := baseline.Lowered(name)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		p := compileUnassigned(t, l)
-		if nttRegs, convs := p.DomainStats(); nttRegs != 0 || convs != 0 {
-			t.Errorf("%s: unassigned plan has %d NTT regs, %d conversions", name, nttRegs, convs)
-		}
-		if p.Prepared {
-			t.Errorf("%s: unassigned plan is marked Prepared", name)
-		}
-	}
-}
-
-// pointDomainPlan compiles a hoisted fan feeding a pointwise chain —
+// pointDomainPlan compiles a rotation fan feeding a pointwise chain —
 // the canonical shape the pass accelerates. The fan source is a
 // ciphertext input (coefficient domain), so both fan destinations, the
 // add, and the plaintext product all go NTT-resident, with one OpINTT
@@ -184,7 +149,7 @@ func serialDomainPlan(t *testing.T) *ExecutionPlan {
 	// Both rotations are serial (different sources) and NTT-destined.
 	serialN := 0
 	for _, st := range p.Steps {
-		if st.Op == quill.OpRotCt && p.regDomain(st.Dst) == DomNTT {
+		if st.Op == quill.OpRotCt && p.RegDomain[st.Dst] == DomNTT {
 			serialN++
 		}
 	}
@@ -194,12 +159,13 @@ func serialDomainPlan(t *testing.T) *ExecutionPlan {
 	return p
 }
 
-// nttSrcFanPlan compiles a fan whose shared source is itself a
-// rotation result the solver keeps NTT-resident — exercising the
-// "NTT source implies NTT fan destinations" invariant.
+// nttSrcFanPlan compiles a fan whose source is itself a rotation
+// result the solver keeps NTT-resident — exercising the "NTT source
+// implies NTT destinations" invariant on the shared groups the fan
+// compiles to.
 func nttSrcFanPlan(t *testing.T) *ExecutionPlan {
 	t.Helper()
-	p := compileLegacy(t, &quill.Lowered{
+	p := compile(t, &quill.Lowered{
 		VecLen: 1024, NumCtInputs: 1,
 		Instrs: []quill.LInstr{
 			{Op: quill.OpRotCt, Dst: 1, A: 0, Rot: 1},
@@ -210,11 +176,11 @@ func nttSrcFanPlan(t *testing.T) *ExecutionPlan {
 		},
 		Output: 5,
 	})
-	if g, _ := p.HoistedGroups(); g != 1 {
-		t.Fatalf("hoisted groups = %d, want 1", g)
+	if g, _, rep := p.SharedGroups(); g != 2 || rep != 1 {
+		t.Fatalf("shared groups = %d (%d replayed), want 2 (1)", g, rep)
 	}
 	for _, st := range p.Steps {
-		if st.Op == OpHoistedRot && p.codeDomain(st.A) != DomNTT {
+		if st.Op == OpSharedRot && p.CodeDomain(st.A) != DomNTT {
 			t.Fatal("fan source is not NTT-resident")
 		}
 	}
@@ -279,7 +245,7 @@ func TestValidateRejectsMalformedDomains(t *testing.T) {
 			// destination to coefficient form has no execution path.
 			for i := range p.Steps {
 				st := p.Steps[i]
-				if st.Op == quill.OpRotCt && p.codeDomain(st.A) == DomNTT {
+				if st.Op == quill.OpRotCt && p.CodeDomain(st.A) == DomNTT {
 					p.RegDomain[st.Dst] = DomCoeff
 					return
 				}
@@ -287,8 +253,8 @@ func TestValidateRejectsMalformedDomains(t *testing.T) {
 			panic("no NTT-source rotation")
 		}},
 		"fan-member-coeff-with-ntt-src": {nttSrcFanPlan, func(p *ExecutionPlan) {
-			st := p.Steps[findStep(p, OpHoistedRot)]
-			p.RegDomain[st.Fan[0].Dst] = DomCoeff
+			st := p.Steps[findStep(p, OpSharedRot)]
+			p.RegDomain[st.Shared[0].Dst] = DomCoeff
 		}},
 	}
 	for name, c := range cases {

@@ -31,13 +31,7 @@ func (p *ExecutionPlan) stepReads(st *Step, buf []int) []int {
 			buf = append(buf, p.Reg(code))
 		}
 	}
-	switch st.Op {
-	case OpBatchedRot:
-		for i := range st.Batch {
-			read(st.Batch[i].Src)
-		}
-		return buf
-	case OpSharedRot:
+	if st.Op == OpSharedRot {
 		for i := range st.Shared {
 			read(st.Shared[i].Src)
 			if !st.Shared[i].Fresh {
@@ -68,21 +62,13 @@ func (p *ExecutionPlan) stepReads(st *Step, buf []int) []int {
 func (p *ExecutionPlan) liftReg(s int) int { return p.NumRegs + p.NumDecomps + s }
 
 // stepWrites appends the register indices step st writes to buf. For
-// hoisted, batched and shared groups that is every member destination,
-// not just the mirror Dst; a shared Fresh member also writes its slot's
+// a shared group that is every member destination, not just the
+// mirror Dst; a shared Fresh member also writes its slot's
 // pseudo-register (NumRegs+Slot), creating the WAR/WAW hazards that
 // keep a slot refill strictly after the previous fill's replays, and a
 // product writes the lift-slot pseudo-register of each lift it fills.
 func (p *ExecutionPlan) stepWrites(st *Step, buf []int) []int {
 	switch st.Op {
-	case OpHoistedRot:
-		for i := range st.Fan {
-			buf = append(buf, st.Fan[i].Dst)
-		}
-	case OpBatchedRot:
-		for i := range st.Batch {
-			buf = append(buf, st.Batch[i].Dst)
-		}
 	case OpSharedRot:
 		for i := range st.Shared {
 			buf = append(buf, st.Shared[i].Dst)

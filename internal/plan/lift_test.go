@@ -11,8 +11,7 @@ import (
 // operand reads of the four multiplying kernels a deep-closed round
 // serves: 14 lifts where 26 operand reads used to lift each time. Nine
 // of the 13 products are squares; harris reuses its gradients and
-// polynomial-regression its input x across products. Every plan form
-// lifts alike — the fills follow values, not schedules.
+// polynomial-regression its input x across products.
 func TestLiftKernelFillsPinned(t *testing.T) {
 	params, enc := testEnv(t)
 	want := map[string][2]int{
@@ -26,22 +25,20 @@ func TestLiftKernelFillsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, opts := range []Options{{}, {DisableHoisting: true, DisableDomainAssignment: true}, {DisableSharing: true}} {
-			p, err := CompileWithOptions(params, enc, l, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, r := p.LiftCounts()
-			if f != w[0] || r != w[1] {
-				t.Errorf("%s %+v: %d lifts for %d operand reads, want %d for %d", name, opts, f, r, w[0], w[1])
-			}
-			t.Logf("%s %+v: %d lifts for %d operand reads over %d slots", name, opts, f, r, p.NumLifts)
-			if p.NumLifts < 1 || p.NumLifts > w[0] {
-				t.Errorf("%s %+v: NumLifts = %d, want within [1, %d]", name, opts, p.NumLifts, w[0])
-			}
-			if err := p.Validate(params); err != nil {
-				t.Errorf("%s %+v: %v", name, opts, err)
-			}
+		p, err := Compile(params, enc, l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f, r := p.LiftCounts()
+		if f != w[0] || r != w[1] {
+			t.Errorf("%s: %d lifts for %d operand reads, want %d for %d", name, f, r, w[0], w[1])
+		}
+		t.Logf("%s: %d lifts for %d operand reads over %d slots", name, f, r, p.NumLifts)
+		if p.NumLifts < 1 || p.NumLifts > w[0] {
+			t.Errorf("%s: NumLifts = %d, want within [1, %d]", name, p.NumLifts, w[0])
+		}
+		if err := p.Validate(params); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 	}
 }

@@ -260,10 +260,7 @@ func BuildMuxWith(params *bfv.Parameters, enc *bfv.Encoder, p *ExecutionPlan, st
 	// constants; reset and re-derive against the replicated ones.
 	clone.MulNTTConsts, clone.AddNTTConsts = nil, nil
 	clone.PtNeedMulNTT, clone.PtNeedAddNTT = nil, nil
-	prepared := clone.Prepared
 	clone.Prepared = false
-	if prepared {
-		clone.Prepare(params)
-	}
+	clone.Prepare(params)
 	return &Mux{Base: p, Plan: &clone, Stride: stride, Lanes: lanes}, nil
 }

@@ -18,7 +18,21 @@
 //   - plaintext constants are encoded once, at plan time;
 //   - the exact Galois-key set the program needs is computed per
 //     plan, so a serving context generates precisely the keys its
-//     plans use.
+//     plans use;
+//   - every value gets a home domain (coefficient or NTT) that
+//     minimizes the transforms outside key switching (domain.go);
+//   - rotations run in shared groups (share.go): one key-switch
+//     decomposition per source serves all of its rotations, and one
+//     Galois resolve per group serves all sources rotated by its
+//     amount;
+//   - ct×ct products read operand lifts from session slots, one lift
+//     per value (lift.go), and the steps are levelized for parallel
+//     execution (levelize.go).
+//
+// Compile is the one way to build a plan, and it has no switches: the
+// schedule it emits is the only one the backend executes. Plans decoded
+// from the wire (internal/wire) are checked by Validate and derived by
+// Prepare exactly as Compile derives its own.
 //
 // Plans are immutable after Compile and safe to share between
 // goroutines; the mutable state (the register file) lives in the
@@ -34,63 +48,28 @@ import (
 	"porcupine/internal/quill"
 )
 
-// OpHoistedRot is the plan-only opcode of a fused rotation fan-out:
-// the key-switching digit decomposition of the source operand is
-// computed once and shared by every rotation in the step's Fan list.
-// It never appears in lowered programs — the planner synthesizes it
-// when ≥2 distinct rotations read one source — so its value lives
-// outside the quill instruction set's range.
-const OpHoistedRot quill.Op = 0x40
-
 // OpNTT and OpINTT are the plan-only domain-conversion opcodes the
 // domain-assignment pass inserts at true domain boundaries: OpNTT
 // materializes the evaluation-domain twin of a coefficient-domain
 // register, OpINTT the reverse. Both are unary (operand A, register
 // destination) and cost two transforms (a degree-1 ciphertext's two
-// rows); like OpHoistedRot they never appear in lowered programs.
+// rows); they never appear in lowered programs.
 const (
 	OpNTT  quill.Op = 0x41
 	OpINTT quill.Op = 0x42
 )
 
-// OpBatchedRot is the plan-only opcode of a cross-source batched
-// rotation group: rotations of DIFFERENT source ciphertexts by the
-// SAME amount, executed through one batched key switch. The Galois
-// element, switching key, and automorphism tables are resolved once
-// per group; each member then pays its own digit decomposition (the
-// dual of OpHoistedRot, which shares one source's decomposition across
-// amounts). Synthesized by the planner when ≥2 plain rotations share a
-// canonical amount within a step window; never appears in lowered
+// OpSharedRot is the plan-only opcode of a double-hoisted rotation
+// group: rotations by ONE amount (sharing the Galois element, key and
+// tables) whose members each consume a session decomposition SLOT. A
+// member with Fresh set lifts and forward-NTTs its source's digits into
+// the slot; a member with Fresh clear replays a decomposition an
+// EARLIER step left resident — so one decomposition per source serves
+// every rotation of that source, at any amount, anywhere in the
+// schedule (hoisting across amounts AND batching across sources).
+// Synthesized by the sharing pass (share.go); never appears in lowered
 // programs.
-const OpBatchedRot quill.Op = 0x43
-
-// OpSharedRot is the plan-only opcode of the double-hoisted rotation
-// step family that subsumes both OpHoistedRot and OpBatchedRot: a
-// group of rotations by ONE amount (sharing the Galois element, key
-// and tables like a batched group) whose members each consume a
-// session decomposition SLOT. A member with Fresh set lifts and
-// forward-NTTs its source's digits into the slot; a member with Fresh
-// clear replays a decomposition an EARLIER step left resident — so one
-// decomposition per source serves every rotation of that source, at
-// any amount, anywhere in the schedule (hoisting across amounts AND
-// batching across sources simultaneously). Synthesized by the sharing
-// pass (share.go); never appears in lowered programs, and never mixes
-// with OpHoistedRot/OpBatchedRot in one plan.
 const OpSharedRot quill.Op = 0x44
-
-// FanOut is one rotation of a hoisted fan-out group.
-type FanOut struct {
-	Dst int // register receiving this rotation
-	Rot int // canonical rotation amount (never 0)
-}
-
-// BatchedSrc is one member of a cross-source batched rotation group:
-// one source operand rotated by the group's shared amount into its own
-// destination register.
-type BatchedSrc struct {
-	Src int // operand code of this member's source
-	Dst int // register receiving this member's rotation
-}
 
 // SharedSrc is one member of a double-hoisted rotation group: one
 // source operand rotated by the step's shared amount into its own
@@ -113,27 +92,12 @@ type SharedSrc struct {
 // to caller inputs).
 type Step struct {
 	Op  quill.Op
-	Dst int // register index (Fan[0].Dst for hoisted steps)
+	Dst int // register index (Shared[0].Dst for shared steps)
 	A   int // operand code
 	B   int // operand code (ct-ct ops)
-	Rot int // canonical rotation amount (OpRotCt)
+	Rot int // canonical rotation amount (OpRotCt, OpSharedRot)
 	Pt  int // plaintext input index (ct-pt ops), -1 for constants
 	Con int // pre-encoded constant index (ct-pt ops), -1 for inputs
-
-	// Fan lists the rotations of a hoisted group (OpHoistedRot only;
-	// nil for every other op). The source A is decomposed once, then
-	// each entry costs a digit permutation instead of a fresh
-	// decomposition. Entries are in program order; no entry's register
-	// may alias the source (every entry reads it).
-	Fan []FanOut
-
-	// Batch lists the members of a cross-source batched group
-	// (OpBatchedRot only; nil for every other op). Every member rotates
-	// its own source by the step's shared Rot amount; A and Dst mirror
-	// the first member. Entries are in program order; no member's
-	// destination may alias any member's source (the group reads all
-	// sources before the last write).
-	Batch []BatchedSrc
 
 	// Shared lists the members of a double-hoisted group (OpSharedRot
 	// only; nil for every other op). Every member rotates its own
@@ -171,18 +135,16 @@ type ExecutionPlan struct {
 	// RegDomain[r] is the representation register r holds for the
 	// plan's whole lifetime — registers never change domain, and the
 	// allocator never reuses a buffer across domains. NTT-resident
-	// registers always hold degree-1 ciphertexts. All-coefficient for
-	// plans compiled with DisableDomainAssignment.
+	// registers always hold degree-1 ciphertexts. One entry per
+	// register; Compile and wire decode always set it.
 	RegDomain []Domain
-	// NumDecomps is the number of key-switching decomposition scratch
-	// slots a session needs. For double-hoisted plans it is the peak
-	// number of simultaneously-live shared decompositions (the
-	// slot-liveness result: a slot is live from its Fresh member to the
-	// source's last shared rotation, then reused); for legacy plans it
-	// is 1 when any hoisted or batched group exists (they never nest,
-	// one buffer serves all of them), 0 otherwise. Sized by the
-	// register allocator; never serialized (wire decoding recomputes it
-	// from the step list).
+	// NumDecomps is the number of key-switching decomposition slots a
+	// session needs: the peak number of simultaneously-live shared
+	// decompositions (the slot-liveness result: a slot is live from its
+	// Fresh member to the source's last shared rotation, then reused),
+	// 0 for a plan without shared groups. Sized by the register
+	// allocator; never serialized (wire decoding recomputes it from the
+	// step list).
 	NumDecomps int
 	// NumLifts is the number of multiplicand lift slots a session needs:
 	// the peak number of simultaneously-live lifts (AssignLifts), 0 for
@@ -221,10 +183,9 @@ type ExecutionPlan struct {
 	AddNTTConsts []*bfv.NTTPlaintext
 	PtNeedMulNTT []bool
 	PtNeedAddNTT []bool
-	// Prepared reports whether Prepare ran: sessions then execute
-	// mul-plain through the prepared-operand variants (bit-identical,
-	// minus the per-call operand NTT). Set by Compile unless domain
-	// assignment is disabled, and by wire decode always.
+	// Prepared reports whether Prepare ran (Compile, wire decode and
+	// BuildMuxWith all run it); a session executes mul-plain only
+	// through the prepared operands.
 	Prepared bool
 
 	// Levels is the dependency-levelized step schedule (see Levelize):
@@ -243,36 +204,6 @@ func (p *ExecutionPlan) Reg(code int) int { return code - p.NumCtInputs }
 // InstructionCount returns the number of scheduled steps (after no-op
 // aliasing and dead-code elimination).
 func (p *ExecutionPlan) InstructionCount() int { return len(p.Steps) }
-
-// HoistedGroups returns the number of fused rotation fan-out steps
-// and the total rotations they cover. A plan with groups decomposes
-// once per group instead of once per rotation: forward NTT passes in
-// rotation key-switching drop from K·rotations to K·(groups + plain
-// rotations).
-func (p *ExecutionPlan) HoistedGroups() (groups, rotations int) {
-	for i := range p.Steps {
-		if p.Steps[i].Op == OpHoistedRot {
-			groups++
-			rotations += len(p.Steps[i].Fan)
-		}
-	}
-	return groups, rotations
-}
-
-// BatchedGroups returns the number of cross-source batched rotation
-// steps and the total rotations they cover. Each group fetches its
-// Galois key and automorphism tables once; every member still pays its
-// own digit decomposition (sources differ), so the win is the shared
-// per-element state, not shared digits.
-func (p *ExecutionPlan) BatchedGroups() (groups, rotations int) {
-	for i := range p.Steps {
-		if p.Steps[i].Op == OpBatchedRot {
-			groups++
-			rotations += len(p.Steps[i].Batch)
-		}
-	}
-	return groups, rotations
-}
 
 // SharedGroups returns the number of double-hoisted rotation steps,
 // the total rotations they cover, and how many of those rotations
@@ -296,20 +227,17 @@ func (p *ExecutionPlan) SharedGroups() (groups, rotations, replayed int) {
 // DigitDecompositions is the plan's static count of rotation
 // key-switch digit decompositions per run — the expensive shared
 // prefix (K digit lifts + K forward NTTs) double-hoisting exists to
-// minimize. Each plain rotation and each batched member decomposes its
-// own source; each hoisted group and each Fresh shared member
-// decomposes once; replayed shared members cost nothing.
-// Relinearization decompositions are excluded: they are identical
-// across plan forms and would only blur the comparison.
+// minimize. Each plain rotation and each Fresh shared member
+// decomposes its source; replayed shared members cost nothing.
+// Relinearization decompositions are excluded: no schedule changes
+// them.
 func (p *ExecutionPlan) DigitDecompositions() int {
 	c := 0
 	for i := range p.Steps {
 		st := &p.Steps[i]
 		switch st.Op {
-		case quill.OpRotCt, OpHoistedRot:
+		case quill.OpRotCt:
 			c++
-		case OpBatchedRot:
-			c += len(st.Batch)
 		case OpSharedRot:
 			for _, m := range st.Shared {
 				if m.Fresh {
@@ -321,63 +249,13 @@ func (p *ExecutionPlan) DigitDecompositions() int {
 	return c
 }
 
-// Options tunes compilation.
-type Options struct {
-	// DisableHoisting turns off rotation fan-out fusion, producing a
-	// plan of plain serial steps only. The unhoisted plan computes
-	// bit-identical ciphertexts (the serial rotation path runs on the
-	// same decompose-permute-accumulate primitives); it exists as the
-	// differential reference for the hoisted schedule and for
-	// measuring the hoisting win.
-	DisableHoisting bool
-
-	// DisableDomainAssignment turns off the NTT-domain dataflow pass:
-	// every register stays in the coefficient domain, no conversion
-	// steps are inserted, and execution uses the exact legacy paths
-	// (per-call operand NTT in mul-plain included). The unassigned
-	// plan computes bit-identical ciphertexts — it is the differential
-	// reference for the domain-assigned schedule and the baseline for
-	// measuring the transform win.
-	DisableDomainAssignment bool
-
-	// DisableBatching turns off cross-source batched key switching:
-	// rotations of different sources by a shared amount stay plain
-	// serial steps. Implied by DisableHoisting (a "flat" plan is the
-	// fully serial reference). Disabling batching also disables
-	// sharing (double-hoisting groups by amount the same way).
-	// Bit-identity is unaffected either way.
-	DisableBatching bool
-
-	// DisableSharing turns off double-hoisted key switching: rotation
-	// fans stay fused OpHoistedRot steps and same-amount cross-source
-	// groups stay OpBatchedRot — the PR 7 plan shape, kept as the
-	// differential reference for the shared schedule, the baseline for
-	// measuring the sharing win, and the compile target for wire
-	// versions < 6 (which cannot carry decomposition-slot fields).
-	// Bit-identity is unaffected either way.
-	DisableSharing bool
-
-	// BatchWindow bounds how far apart (in schedule positions) two
-	// rotations may sit and still fuse into one batched group; batching
-	// extends every member source's live range to the group step, so
-	// the window caps the register-pressure cost. 0 means the default.
-	BatchWindow int
-}
-
-// defaultBatchWindow is the BatchWindow used when Options leaves it 0:
-// wide enough to fuse the corresponding levels of two back-to-back
-// log-depth reduction trees over 16-slot windows (8 schedule entries
-// apart), small enough to keep at most a handful of sources live.
-const defaultBatchWindow = 8
-
 // schedEntry is one scheduled unit of the compile pipeline: a plain
-// instruction, a fused rotation fan-out group (one source, many
-// amounts), or a cross-source batched group (many sources, one
-// amount), either group scheduled at its first member's position.
+// instruction, or a rotation group scheduled at its first member's
+// position — a fan-out (one source, many amounts) from Pass 3 until
+// the sharing pass dissolves it, a shared group (one amount) after.
 type schedEntry struct {
 	idx     int   // instruction index (first member for groups)
 	members []int // nil → plain step; else the group's rotation instrs
-	batch   bool  // members share an amount (OpBatchedRot), not a source
 	shared  bool  // members share an amount through decomposition slots (OpSharedRot)
 }
 
@@ -385,11 +263,6 @@ type schedEntry struct {
 // for the given parameter set. The encoder is used once, to pre-encode
 // plaintext constants; it must belong to params.
 func Compile(params *bfv.Parameters, enc *bfv.Encoder, l *quill.Lowered) (*ExecutionPlan, error) {
-	return CompileWithOptions(params, enc, l, Options{})
-}
-
-// CompileWithOptions is Compile with explicit Options.
-func CompileWithOptions(params *bfv.Parameters, enc *bfv.Encoder, l *quill.Lowered, opts Options) (*ExecutionPlan, error) {
 	if err := l.Validate(); err != nil {
 		return nil, err
 	}
@@ -427,7 +300,7 @@ func CompileWithOptions(params *bfv.Parameters, enc *bfv.Encoder, l *quill.Lower
 	// l.Instrs). Rotations are additionally value-numbered: a second
 	// rotation of the same canonical source by the same canonical
 	// amount is the same ciphertext bit for bit, so it aliases the
-	// first — which also keeps hoisted fan-outs free of duplicate
+	// first — which also keeps rotation fan-outs free of duplicate
 	// amounts.
 	real := make([]bool, len(l.Instrs))
 	type rotKey struct{ src, rot int }
@@ -500,36 +373,35 @@ func CompileWithOptions(params *bfv.Parameters, enc *bfv.Encoder, l *quill.Lower
 		}
 	}
 
-	// Pass 3: rotation fan-out detection. A source read by ≥2 distinct
-	// surviving rotations has its digit decomposition hoisted: the
-	// group's rotations fuse into one OpHoistedRot step scheduled at
-	// the first member's position (moving a pure rotation earlier is
-	// always legal — its only operand is already defined there). The
-	// schedule below is the step list the domain, liveness and register
-	// passes run over: one entry per plain step or fused group.
+	// Pass 3: rotation fan-out grouping. The ≥2 distinct surviving
+	// rotations of one source move up to the first one's position as a
+	// fan entry (moving a pure rotation earlier is always legal — its
+	// only operand is already defined there). Fans are not a step kind:
+	// they fix the schedule positions Pass 4 prices (one c0 transform
+	// per fan) and the sharing pass starts from, which dissolves them.
+	// The schedule below is the list the domain, liveness and register
+	// passes run over: one entry per plain step or group.
 	groupOf := map[int][]int{} // first-member idx → member idxs
 	inGroup := map[int]bool{}  // member idx → fused away
-	if !opts.DisableHoisting {
-		bySrc := map[int][]int{}
-		var srcs []int
-		for idx, in := range l.Instrs {
-			if real[idx] && in.Op == quill.OpRotCt {
-				src := canon[in.A]
-				if len(bySrc[src]) == 0 {
-					srcs = append(srcs, src)
-				}
-				bySrc[src] = append(bySrc[src], idx)
+	bySrc := map[int][]int{}
+	var srcs []int
+	for idx, in := range l.Instrs {
+		if real[idx] && in.Op == quill.OpRotCt {
+			src := canon[in.A]
+			if len(bySrc[src]) == 0 {
+				srcs = append(srcs, src)
 			}
+			bySrc[src] = append(bySrc[src], idx)
 		}
-		for _, src := range srcs {
-			members := bySrc[src]
-			if len(members) < 2 {
-				continue
-			}
-			groupOf[members[0]] = members
-			for _, m := range members {
-				inGroup[m] = true
-			}
+	}
+	for _, src := range srcs {
+		members := bySrc[src]
+		if len(members) < 2 {
+			continue
+		}
+		groupOf[members[0]] = members
+		for _, m := range members {
+			inGroup[m] = true
 		}
 	}
 	var sched []schedEntry
@@ -548,30 +420,19 @@ func CompileWithOptions(params *bfv.Parameters, enc *bfv.Encoder, l *quill.Lower
 	}
 
 	// Pass 4: domain assignment (see domain.go) — the home domain of
-	// every canonical value. All-coefficient when disabled; inputs,
-	// degree-2 values, and relin/tensor results are always coefficient.
-	dom := make([]Domain, n)
-	if !opts.DisableDomainAssignment {
-		dom = assignDomains(l, canon, deg, sched, nIn, output)
-	}
+	// every canonical value. Inputs, degree-2 values, and relin/tensor
+	// results are always coefficient.
+	dom := assignDomains(l, canon, deg, sched, nIn, output)
 
-	// Pass 4b/4c: rotation grouping across sources. Both passes run
-	// after domain assignment (each preserves every member's source and
-	// destination domain, so the assignment stays optimal for the same
-	// cost model) and are skipped for flat reference plans. The default
-	// is the sharing pass (share.go): fan groups dissolve and every
-	// rotation becomes a member of a per-amount OpSharedRot group that
-	// consumes a session decomposition slot — one decomposition per
-	// source for the whole plan. With DisableSharing the legacy
-	// batching pass (batch.go) runs instead, keeping the PR 7
-	// OpHoistedRot/OpBatchedRot shape.
-	if !opts.DisableHoisting && !opts.DisableBatching {
-		if opts.DisableSharing {
-			sched = batchRotations(l, canon, sched, nIn, norm, opts.BatchWindow)
-		} else {
-			sched = shareRotations(l, canon, sched, nIn, norm, opts.BatchWindow)
-		}
-	}
+	// Pass 4b: rotation sharing (share.go), after domain assignment (it
+	// preserves every member's source and destination domain, so the
+	// assignment stays optimal for the same cost model). Fan groups
+	// dissolve and every rotation of a multiply-rotated source — and
+	// every rotation sharing an amount with a nearby one — becomes a
+	// member of a per-amount OpSharedRot group that consumes a session
+	// decomposition slot: one decomposition per source for the whole
+	// plan.
+	sched = shareRotations(l, canon, sched, nIn, norm)
 
 	// Pass 5: work-item construction. A value's home form carries the
 	// domain its defining step writes; a consumer needing the other
@@ -598,7 +459,7 @@ func CompileWithOptions(params *bfv.Parameters, enc *bfv.Encoder, l *quill.Lower
 		aForm    int        // operand form (conv: the source home form)
 		bForm    int        // second operand form, -1 if none
 		dstForm  int        // form defined (twin id for conv; -1 for groups)
-		srcForms []int      // per-member source forms (batched groups only)
+		srcForms []int      // per-member source forms (shared groups only)
 	}
 	var items []workItem
 	form := func(v int, d Domain) int {
@@ -617,16 +478,12 @@ func CompileWithOptions(params *bfv.Parameters, enc *bfv.Encoder, l *quill.Lower
 	for _, e := range sched {
 		in := l.Instrs[e.idx]
 		a := canon[in.A]
-		if e.batch || e.shared {
+		if e.shared {
 			it := workItem{e: e, aForm: a, bForm: -1, dstForm: -1}
 			for _, m := range e.members {
 				it.srcForms = append(it.srcForms, canon[l.Instrs[m].A])
 			}
 			items = append(items, it)
-			continue
-		}
-		if e.members != nil {
-			items = append(items, workItem{e: e, aForm: a, bForm: -1, dstForm: -1})
 			continue
 		}
 		dstv := nIn + e.idx
@@ -687,13 +544,12 @@ func CompileWithOptions(params *bfv.Parameters, enc *bfv.Encoder, l *quill.Lower
 	// Free lists are per-domain: a register holds one representation
 	// for the plan's whole lifetime, so a buffer never crosses domains
 	// (which also means a conversion never aliases its source).
-	// Hoisted groups are the exception to in-place reuse: every fan
-	// entry reads the source (its c0 and its hoisted digits), so the
-	// source's register is freed only after the whole fan is
-	// allocated, and fan destinations are pairwise distinct by
-	// construction. This is also where per-session decomposition
-	// scratch is sized: any hoisted step sets NumDecomps to 1 (groups
-	// never nest, one buffer serves the whole plan).
+	// Shared groups are the exception to in-place reuse: every member
+	// reads its source (its c0, and its resident digits), so source
+	// registers are freed only after the whole group is allocated, and
+	// member destinations are pairwise distinct by construction. This
+	// is also where decomposition slots are assigned (Pass 6b's
+	// intervals) and NumDecomps, the session's slot count, is sized.
 	p := &ExecutionPlan{
 		N:           params.N,
 		VecLen:      l.VecLen,
@@ -795,42 +651,6 @@ func CompileWithOptions(params *bfv.Parameters, enc *bfv.Encoder, l *quill.Lower
 			p.Steps = append(p.Steps, st)
 			continue
 		}
-		if it.e.batch {
-			st := Step{Op: OpBatchedRot, Pt: -1, Con: -1, Rot: norm(in.Rot)}
-			rotSet[st.Rot] = true
-			for i, m := range it.e.members {
-				reg := alloc(1, dom[nIn+m])
-				regOf[nIn+m] = reg
-				st.Batch = append(st.Batch, BatchedSrc{Src: code(it.srcForms[i]), Dst: reg})
-			}
-			st.A, st.Dst = st.Batch[0].Src, st.Batch[0].Dst
-			// Every member's source is read by the group; free their
-			// registers only now that no member destination can have
-			// claimed one.
-			for _, f := range it.srcForms {
-				release(f, t)
-			}
-			p.NumDecomps = 1
-			p.Steps = append(p.Steps, st)
-			continue
-		}
-		if it.e.members != nil {
-			st := Step{Op: OpHoistedRot, A: code(it.aForm), Pt: -1, Con: -1}
-			for _, m := range it.e.members {
-				r := norm(l.Instrs[m].Rot)
-				reg := alloc(1, dom[nIn+m])
-				regOf[nIn+m] = reg
-				st.Fan = append(st.Fan, FanOut{Dst: reg, Rot: r})
-				rotSet[r] = true
-			}
-			st.Dst = st.Fan[0].Dst
-			// The source is read by every fan entry; free its register
-			// only now that no fan destination can have claimed it.
-			release(it.aForm, t)
-			p.NumDecomps = 1
-			p.Steps = append(p.Steps, st)
-			continue
-		}
 
 		dstv := it.dstForm
 		st := Step{Op: in.Op, A: code(it.aForm), Pt: -1, Con: -1}
@@ -879,11 +699,7 @@ func CompileWithOptions(params *bfv.Parameters, enc *bfv.Encoder, l *quill.Lower
 	if p.RegDomain == nil {
 		p.RegDomain = []Domain{}
 	}
-	p.AssignLifts()
-	p.Levelize()
-	if !opts.DisableDomainAssignment {
-		p.Prepare(params)
-	}
+	p.Prepare(params)
 	return p, nil
 }
 
@@ -892,11 +708,10 @@ func CompileWithOptions(params *bfv.Parameters, enc *bfv.Encoder, l *quill.Lower
 // mul-plain step reads, NTT(Δ·m) for every constant an
 // NTT-destination add/sub-plain step reads, and the need-flags for
 // runtime plaintext inputs (whose prepared forms a session computes
-// once per run). Load-time only — Compile calls it unless domain
-// assignment is disabled, wire decode calls it always — so the plan
-// stays immutable once published. Idempotent.
+// once per run). It first derives the lift slots and the levelized
+// schedule. Load-time only — Compile, wire decode and BuildMuxWith call
+// it — so the plan stays immutable once published. Idempotent.
 func (p *ExecutionPlan) Prepare(params *bfv.Parameters) {
-	// Wire decode reaches here without a Compile pass.
 	p.AssignLifts()
 	p.Levelize()
 	if p.Prepared {
@@ -933,32 +748,15 @@ func (p *ExecutionPlan) Prepare(params *bfv.Parameters) {
 	p.Prepared = true
 }
 
-// regDomain is RegDomain with an all-coefficient default for legacy
-// in-memory plans that predate the field.
-func (p *ExecutionPlan) regDomain(r int) Domain {
-	if r < len(p.RegDomain) {
-		return p.RegDomain[r]
-	}
-	return DomCoeff
-}
-
-// codeDomain returns the domain of an operand code (inputs are always
-// coefficient-domain).
-func (p *ExecutionPlan) codeDomain(code int) Domain {
-	if p.IsInput(code) {
-		return DomCoeff
-	}
-	return p.regDomain(p.Reg(code))
-}
-
 // CodeDomain reports the domain of an operand code: coefficient for
 // ciphertext inputs, the register's declared domain otherwise. The
 // backend dispatches rotation and plaintext-product variants on it.
-func (p *ExecutionPlan) CodeDomain(code int) Domain { return p.codeDomain(code) }
-
-// RegDomainOf reports the declared domain of a register, defaulting to
-// coefficient for legacy plans without domain tags.
-func (p *ExecutionPlan) RegDomainOf(r int) Domain { return p.regDomain(r) }
+func (p *ExecutionPlan) CodeDomain(code int) Domain {
+	if p.IsInput(code) {
+		return DomCoeff
+	}
+	return p.RegDomain[p.Reg(code)]
+}
 
 // ExternalTransforms is the plan's static count of
 // key-switch-external forward+inverse NTT passes per run — the model
@@ -967,8 +765,7 @@ func (p *ExecutionPlan) RegDomainOf(r int) Domain { return p.regDomain(r) }
 // transforms inside key-switching inner products (digit NTTs and the
 // relinearization data path) and the tensor product's extended-basis
 // transforms. Per-run plaintext-input preparations (one forward NTT
-// per flagged input) are included for prepared plans; unprepared
-// mul-plain pays its operand transform per call instead.
+// per flagged input) are included.
 func (p *ExecutionPlan) ExternalTransforms() int {
 	c := 0
 	// c0Charged[s] tracks whether slot s's current fill already paid the
@@ -981,7 +778,7 @@ func (p *ExecutionPlan) ExternalTransforms() int {
 		switch st.Op {
 		case OpSharedRot:
 			for _, m := range st.Shared {
-				srcNTT := p.codeDomain(m.Src) == DomNTT
+				srcNTT := p.CodeDomain(m.Src) == DomNTT
 				if m.Fresh {
 					if srcNTT {
 						c++ // c1 leaves the evaluation domain for digit lifting
@@ -992,7 +789,7 @@ func (p *ExecutionPlan) ExternalTransforms() int {
 				case srcNTT:
 					// c0 already evaluation-domain; rotation is pure
 					// permuted inner products, output stays NTT.
-				case p.regDomain(m.Dst) == DomNTT:
+				case p.RegDomain[m.Dst] == DomNTT:
 					if !c0Charged[m.Slot] {
 						c++ // the slot's cached c0 forward transform
 						c0Charged[m.Slot] = true
@@ -1001,43 +798,13 @@ func (p *ExecutionPlan) ExternalTransforms() int {
 					c += 2 // the two accumulator inverse transforms
 				}
 			}
-		case OpHoistedRot:
-			if p.codeDomain(st.A) == DomNTT {
-				c++
-			} else {
-				anyN := false
-				for _, f := range st.Fan {
-					if p.regDomain(f.Dst) == DomNTT {
-						anyN = true
-					} else {
-						c += 2
-					}
-				}
-				if anyN {
-					c++
-				}
-			}
-		case OpBatchedRot:
-			// Each member runs the serial rotation pipeline of its own
-			// domain pair (the batch shares per-element state, not
-			// transforms), so the counts mirror quill.OpRotCt below.
-			for _, m := range st.Batch {
-				switch {
-				case p.codeDomain(m.Src) == DomNTT:
-					c++
-				case p.regDomain(m.Dst) == DomNTT:
-					c++
-				default:
-					c += 2
-				}
-			}
 		case OpNTT, OpINTT:
 			c += 2
 		case quill.OpRotCt:
 			switch {
-			case p.codeDomain(st.A) == DomNTT:
+			case p.CodeDomain(st.A) == DomNTT:
 				c++
-			case p.regDomain(st.Dst) == DomNTT:
+			case p.RegDomain[st.Dst] == DomNTT:
 				c++
 			default:
 				c += 2
@@ -1045,15 +812,11 @@ func (p *ExecutionPlan) ExternalTransforms() int {
 		case quill.OpRelin:
 			c += 2
 		case quill.OpMulCtPt:
-			if p.Prepared {
-				if p.codeDomain(st.A) == DomCoeff {
-					c += 2
-				}
-				if p.regDomain(st.Dst) == DomCoeff {
-					c += 2
-				}
-			} else {
-				c += 5 // 4 row transforms + the per-call operand NTT
+			if p.CodeDomain(st.A) == DomCoeff {
+				c += 2
+			}
+			if p.RegDomain[st.Dst] == DomCoeff {
+				c += 2
 			}
 		}
 	}
@@ -1156,12 +919,6 @@ func (p *ExecutionPlan) Validate(params *bfv.Parameters) error {
 		if st.A < 0 || st.A >= codes {
 			return bad(fmt.Sprintf("operand code %d out of range", st.A))
 		}
-		if st.Op != OpHoistedRot && len(st.Fan) != 0 {
-			return bad("fan-out list on a non-hoisted step")
-		}
-		if st.Op != OpBatchedRot && len(st.Batch) != 0 {
-			return bad("batch list on a non-batched step")
-		}
 		if st.Op != OpSharedRot && len(st.Shared) != 0 {
 			return bad("shared list on a non-shared step")
 		}
@@ -1200,7 +957,7 @@ func (p *ExecutionPlan) Validate(params *bfv.Parameters) error {
 					return bad(fmt.Sprintf("duplicate shared destination register %d", m.Dst))
 				}
 				dstSeen[m.Dst] = true
-				if p.codeDomain(m.Src) == DomNTT && p.regDomain(m.Dst) != DomNTT {
+				if p.CodeDomain(m.Src) == DomNTT && p.RegDomain[m.Dst] != DomNTT {
 					return bad(fmt.Sprintf("shared member rotates an NTT-resident source into coefficient register %d", m.Dst))
 				}
 			}
@@ -1214,96 +971,16 @@ func (p *ExecutionPlan) Validate(params *bfv.Parameters) error {
 					return bad(fmt.Sprintf("shared destination register %d aliases a member source", p.Reg(m.Src)))
 				}
 			}
-		case st.Op == OpBatchedRot:
-			if len(st.Batch) < 2 {
-				return bad(fmt.Sprintf("batched group with %d members, want ≥ 2", len(st.Batch)))
-			}
-			if st.Rot == 0 || !rotDeclared[st.Rot] {
-				return bad(fmt.Sprintf("rotation %d not in declared set %v", st.Rot, p.Rotations))
-			}
-			rotUsed[st.Rot] = true
-			if st.A != st.Batch[0].Src || st.Dst != st.Batch[0].Dst {
-				return bad("batched step operands disagree with its first member")
-			}
-			srcSeen := map[int]bool{}
-			dstSeen := map[int]bool{}
-			for _, m := range st.Batch {
-				if m.Src < 0 || m.Src >= codes {
-					return bad(fmt.Sprintf("batch source code %d out of range", m.Src))
-				}
-				if m.Dst < 0 || m.Dst >= p.NumRegs {
-					return bad(fmt.Sprintf("batch destination register %d out of range", m.Dst))
-				}
-				if srcSeen[m.Src] {
-					return bad(fmt.Sprintf("duplicate batch source %d (same source and amount belong in one rotation)", m.Src))
-				}
-				srcSeen[m.Src] = true
-				if dstSeen[m.Dst] {
-					return bad(fmt.Sprintf("duplicate batch destination register %d", m.Dst))
-				}
-				dstSeen[m.Dst] = true
-				if p.codeDomain(m.Src) == DomNTT && p.regDomain(m.Dst) != DomNTT {
-					return bad(fmt.Sprintf("batch member rotates an NTT-resident source into coefficient register %d", m.Dst))
-				}
-			}
-			// The group reads every member's source; no member may write
-			// over any source.
-			for _, m := range st.Batch {
-				if p.IsInput(m.Src) {
-					continue
-				}
-				if dstSeen[p.Reg(m.Src)] {
-					return bad(fmt.Sprintf("batch destination register %d aliases a member source", p.Reg(m.Src)))
-				}
-			}
-		case st.Op == OpHoistedRot:
-			if len(st.Fan) < 2 {
-				return bad(fmt.Sprintf("hoisted group with fan-out %d, want ≥ 2", len(st.Fan)))
-			}
-			if st.Dst != st.Fan[0].Dst {
-				return bad("hoisted step destination disagrees with its first fan entry")
-			}
-			fanRots := map[int]bool{}
-			fanDsts := map[int]bool{}
-			for _, f := range st.Fan {
-				if f.Dst < 0 || f.Dst >= p.NumRegs {
-					return bad(fmt.Sprintf("fan destination register %d out of range", f.Dst))
-				}
-				if fanDsts[f.Dst] {
-					return bad(fmt.Sprintf("duplicate fan destination register %d", f.Dst))
-				}
-				fanDsts[f.Dst] = true
-				// Every fan entry reads the source after earlier entries
-				// wrote their destinations, so no entry may alias it (or
-				// another entry).
-				if !p.IsInput(st.A) && f.Dst == p.Reg(st.A) {
-					return bad(fmt.Sprintf("fan destination register %d aliases the hoisted source", f.Dst))
-				}
-				if f.Rot == 0 || !rotDeclared[f.Rot] {
-					return bad(fmt.Sprintf("fan rotation %d not in declared set %v", f.Rot, p.Rotations))
-				}
-				if fanRots[f.Rot] {
-					return bad(fmt.Sprintf("duplicate rotation %d in fan-out", f.Rot))
-				}
-				fanRots[f.Rot] = true
-				rotUsed[f.Rot] = true
-				// No NTT-source → coefficient-destination rotation
-				// path exists: an NTT-resident source pins the whole
-				// fan to the evaluation domain.
-				if p.codeDomain(st.A) == DomNTT && p.regDomain(f.Dst) != DomNTT {
-					return bad(fmt.Sprintf("fan destination register %d is coefficient-domain but the hoisted source is NTT-resident", f.Dst))
-				}
-			}
 		case st.Op == OpNTT || st.Op == OpINTT:
 			from, to := DomCoeff, DomNTT
 			if st.Op == OpINTT {
 				from, to = DomNTT, DomCoeff
 			}
-			if p.codeDomain(st.A) != from {
-				return bad(fmt.Sprintf("conversion source is %v, want %v", p.codeDomain(st.A), from))
+			if p.CodeDomain(st.A) != from {
+				return bad(fmt.Sprintf("conversion source is %v, want %v", p.CodeDomain(st.A), from))
 			}
-			if p.regDomain(st.Dst) != to {
-				return bad(fmt.Sprintf("conversion destination is %v, want %v", p.regDomain(st.Dst), to))
+			if p.RegDomain[st.Dst] != to {
+				return bad(fmt.Sprintf("conversion destination is %v, want %v", p.RegDomain[st.Dst], to))
 			}
 			// The degree-1 shape of the conversion is pinned by the
 			// NTT side: one of the two registers is NTT-resident, and
@@ -1316,12 +993,12 @@ func (p *ExecutionPlan) Validate(params *bfv.Parameters) error {
 				return bad(fmt.Sprintf("rotation %d not in declared set %v", st.Rot, p.Rotations))
 			}
 			rotUsed[st.Rot] = true
-			if p.codeDomain(st.A) == DomNTT && p.regDomain(st.Dst) != DomNTT {
+			if p.CodeDomain(st.A) == DomNTT && p.RegDomain[st.Dst] != DomNTT {
 				return bad("rotation of an NTT-resident source into a coefficient destination")
 			}
 		case st.Op == quill.OpRelin:
 			// unary; key switching emits coefficient-domain output
-			if p.regDomain(st.Dst) != DomCoeff {
+			if p.RegDomain[st.Dst] != DomCoeff {
 				return bad("relinearization into an NTT-resident register")
 			}
 		case st.Op == quill.OpMulCtCt:
@@ -1331,7 +1008,7 @@ func (p *ExecutionPlan) Validate(params *bfv.Parameters) error {
 			// The tensor product lifts coefficient operands into the
 			// extended basis (and its destination is degree 2, hence
 			// coefficient by the register rule above).
-			if p.codeDomain(st.A) != DomCoeff || p.codeDomain(st.B) != DomCoeff {
+			if p.CodeDomain(st.A) != DomCoeff || p.CodeDomain(st.B) != DomCoeff {
 				return bad("tensor product of NTT-resident operands")
 			}
 		case st.Op.IsCtCt():
@@ -1340,7 +1017,7 @@ func (p *ExecutionPlan) Validate(params *bfv.Parameters) error {
 			}
 			// Pointwise add/sub executes in the destination's domain;
 			// the compiler converts mismatched operands beforehand.
-			if d := p.regDomain(st.Dst); p.codeDomain(st.A) != d || p.codeDomain(st.B) != d {
+			if d := p.RegDomain[st.Dst]; p.CodeDomain(st.A) != d || p.CodeDomain(st.B) != d {
 				return bad("add/sub operand domain disagrees with destination")
 			}
 		case st.Op.IsCtPt():
@@ -1360,7 +1037,7 @@ func (p *ExecutionPlan) Validate(params *bfv.Parameters) error {
 			}
 			// Plaintext add/sub executes in the destination's domain
 			// (mul-plain has a variant for every combination).
-			if st.Op != quill.OpMulCtPt && p.codeDomain(st.A) != p.regDomain(st.Dst) {
+			if st.Op != quill.OpMulCtPt && p.CodeDomain(st.A) != p.RegDomain[st.Dst] {
 				return bad("add/sub-plain operand domain disagrees with destination")
 			}
 		default:
@@ -1372,66 +1049,57 @@ func (p *ExecutionPlan) Validate(params *bfv.Parameters) error {
 			return fmt.Errorf("plan: declared rotation %d never executed", r)
 		}
 	}
-	hoisted, _ := p.HoistedGroups()
-	batched, _ := p.BatchedGroups()
-	shared, _, _ := p.SharedGroups()
-	if shared > 0 && hoisted+batched > 0 {
-		return fmt.Errorf("plan: shared rotation groups mixed with %d hoisted+batched groups (one sharing discipline per plan)", hoisted+batched)
+	// Every slot below the declared peak must be used, and the peak must
+	// cover every slot: NumDecomps is exactly maxSlot+1 (0 without shared
+	// groups).
+	maxSlot := -1
+	for i := range p.Steps {
+		for _, m := range p.Steps[i].Shared {
+			maxSlot = max(maxSlot, m.Slot)
+		}
 	}
-	if shared > 0 {
-		// Every slot below the declared peak must be used, and the peak
-		// must cover every slot: NumDecomps is exactly maxSlot+1.
-		maxSlot := -1
-		slotUsed := make([]bool, p.NumDecomps)
-		for i := range p.Steps {
-			for _, m := range p.Steps[i].Shared {
-				if m.Slot > maxSlot {
-					maxSlot = m.Slot
-				}
-				slotUsed[m.Slot] = true
+	if p.NumDecomps != maxSlot+1 {
+		return fmt.Errorf("plan: %d decomposition slots declared, shared groups use %d", p.NumDecomps, maxSlot+1)
+	}
+	slotUsed := make([]bool, p.NumDecomps)
+	for i := range p.Steps {
+		for _, m := range p.Steps[i].Shared {
+			slotUsed[m.Slot] = true
+		}
+	}
+	for s, used := range slotUsed {
+		if !used {
+			return fmt.Errorf("plan: decomposition slot %d declared but never used", s)
+		}
+	}
+	// Fill-state simulation: a replay member must find its source's
+	// digits resident — the slot filled by an earlier Fresh member of
+	// the SAME source, with the source's register untouched since
+	// (replays still read its c0 rows).
+	slotSrc := make([]int, p.NumDecomps)
+	for s := range slotSrc {
+		slotSrc[s] = -1
+	}
+	var wbuf [8]int
+	for i := range p.Steps {
+		st := &p.Steps[i]
+		for _, m := range st.Shared {
+			if m.Fresh {
+				slotSrc[m.Slot] = m.Src
+			} else if slotSrc[m.Slot] != m.Src {
+				return fmt.Errorf("plan: step %d: shared member replays slot %d for source %d, but the slot holds %d",
+					i, m.Slot, m.Src, slotSrc[m.Slot])
 			}
 		}
-		if p.NumDecomps != maxSlot+1 {
-			return fmt.Errorf("plan: %d decomposition slots declared, shared groups use %d", p.NumDecomps, maxSlot+1)
-		}
-		for s, used := range slotUsed {
-			if !used {
-				return fmt.Errorf("plan: decomposition slot %d declared but never used", s)
-			}
-		}
-		// Fill-state simulation: a replay member must find its source's
-		// digits resident — the slot filled by an earlier Fresh member
-		// of the SAME source, with the source's register untouched since
-		// (replays still read its c0 rows).
-		slotSrc := make([]int, p.NumDecomps)
-		for s := range slotSrc {
-			slotSrc[s] = -1
-		}
-		var wbuf [8]int
-		for i := range p.Steps {
-			st := &p.Steps[i]
-			if st.Op == OpSharedRot {
-				for _, m := range st.Shared {
-					if m.Fresh {
-						slotSrc[m.Slot] = m.Src
-					} else if slotSrc[m.Slot] != m.Src {
-						return fmt.Errorf("plan: step %d: shared member replays slot %d for source %d, but the slot holds %d",
-							i, m.Slot, m.Src, slotSrc[m.Slot])
-					}
-				}
-			}
-			// Any write to a resident source's register invalidates its
-			// slot: the digits no longer match the register's c0.
-			for _, r := range p.stepWrites(st, wbuf[:0]) {
-				for s := range slotSrc {
-					if slotSrc[s] == p.NumCtInputs+r {
-						slotSrc[s] = -1
-					}
+		// Any write to a resident source's register invalidates its
+		// slot: the digits no longer match the register's c0.
+		for _, r := range p.stepWrites(st, wbuf[:0]) {
+			for s := range slotSrc {
+				if slotSrc[s] == p.NumCtInputs+r {
+					slotSrc[s] = -1
 				}
 			}
 		}
-	} else if want := min(hoisted+batched, 1); p.NumDecomps != want {
-		return fmt.Errorf("plan: %d decomposition buffers declared, %d hoisted+batched groups need %d", p.NumDecomps, hoisted+batched, want)
 	}
 	if err := p.validateLifts(); err != nil {
 		return err
@@ -1439,7 +1107,7 @@ func (p *ExecutionPlan) Validate(params *bfv.Parameters) error {
 	if p.Out < 0 || p.Out >= codes {
 		return fmt.Errorf("plan: output code %d out of range", p.Out)
 	}
-	if p.codeDomain(p.Out) != DomCoeff {
+	if p.CodeDomain(p.Out) != DomCoeff {
 		return fmt.Errorf("plan: output register is NTT-resident (outputs leave in the coefficient domain)")
 	}
 	return nil

@@ -38,19 +38,6 @@ func compile(t *testing.T, l *quill.Lowered) *ExecutionPlan {
 	return p
 }
 
-// compileLegacy compiles in the PR 7 shape (OpHoistedRot/OpBatchedRot
-// instead of double-hoisted OpSharedRot groups) for the tests that pin
-// the legacy step forms.
-func compileLegacy(t *testing.T, l *quill.Lowered) *ExecutionPlan {
-	t.Helper()
-	params, enc := testEnv(t)
-	p, err := CompileWithOptions(params, enc, l, Options{DisableSharing: true})
-	if err != nil {
-		t.Fatalf("CompileWithOptions: %v\n%s", err, l)
-	}
-	return p
-}
-
 // TestRegisterReuseChain checks that a long dependency chain runs in a
 // constant number of registers: each value dies feeding the next, so
 // in-place reuse needs just one buffer.
@@ -85,34 +72,20 @@ func TestRegisterReuseDiamond(t *testing.T) {
 		},
 		Output: 4,
 	}
-	p := compileLegacy(t, l)
-	// The two rotations of d fuse into one hoisted group. Every fan
-	// entry reads d (its c0 and hoisted digits), so neither may write
-	// over it: the fused form trades one register (d, l, r live
-	// together) for a shared digit decomposition.
+	p := compile(t, l)
+	// Both rotations of d become shared groups over one decomposition
+	// slot: the second replays the digits the first left resident. Every
+	// member reads d (its c0 and its digits), so neither may write over
+	// it: the shared form trades one register (d, l, r live together)
+	// for the second decomposition.
 	if p.NumRegs != 3 {
-		t.Errorf("hoisted diamond allocated %d registers, want 3", p.NumRegs)
+		t.Errorf("shared diamond allocated %d registers, want 3", p.NumRegs)
 	}
-	if g, r := p.HoistedGroups(); g != 1 || r != 2 {
-		t.Errorf("hoisted groups = %d (%d rotations), want 1 (2)", g, r)
+	if g, r, rep := p.SharedGroups(); g != 2 || r != 2 || rep != 1 {
+		t.Errorf("shared groups = %d (%d rotations, %d replayed), want 2 (2, 1)", g, r, rep)
 	}
 	if p.NumDecomps != 1 {
 		t.Errorf("NumDecomps = %d, want 1", p.NumDecomps)
-	}
-
-	// Without hoisting, d and l are live when r is computed, but r's
-	// rotation writes in place over the dying d (alias-safe), so two
-	// buffers suffice.
-	params, enc := testEnv(t)
-	flat, err := CompileWithOptions(params, enc, l, Options{DisableHoisting: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.NumRegs != 2 {
-		t.Errorf("flat diamond allocated %d registers, want 2", flat.NumRegs)
-	}
-	if g, _ := flat.HoistedGroups(); g != 0 || flat.NumDecomps != 0 {
-		t.Errorf("flat plan has hoisted groups (%d) or decomp buffers (%d)", g, flat.NumDecomps)
 	}
 }
 

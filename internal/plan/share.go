@@ -6,13 +6,19 @@ import (
 	"porcupine/internal/quill"
 )
 
-// shareRotations is Pass 4c of CompileWithOptions: double-hoisted
-// rotation grouping, the default that replaces Pass 4b's legacy
-// batching. It dissolves Pass 3's fan-out groups and collects every
+// shareWindow bounds how far apart (in schedule positions) two
+// rotations may sit and still fuse into one shared group: wide enough
+// to fuse the corresponding levels of two back-to-back log-depth
+// reduction trees over 16-slot windows (8 schedule entries apart),
+// small enough to keep at most a handful of sources live.
+const shareWindow = 8
+
+// shareRotations is Pass 4b of Compile: double-hoisted rotation
+// grouping. It dissolves Pass 3's fan-out groups and collects every
 // surviving rotation into per-amount OpSharedRot groups, so the
-// executor resolves the shared Galois state once per group (like
-// batching) AND decomposes every source at most once per plan (like
-// hoisting, but across amounts, sources, and schedule distance
+// executor resolves the shared Galois state once per group (batching
+// across sources) AND decomposes every source at most once per plan
+// (hoisting across amounts, sources, and schedule distance
 // simultaneously).
 //
 // The unit of grouping is one rotation: (source, amount) pairs are
@@ -34,11 +40,7 @@ import (
 // a member may move: every member source stays live until the group
 // executes — and until its LAST shared rotation when slots replay it —
 // so the window caps the register- and slot-pressure cost of fusion.
-func shareRotations(l *quill.Lowered, canon []int, sched []schedEntry, nIn int, norm func(int) int, window int) []schedEntry {
-	if window <= 0 {
-		window = defaultBatchWindow
-	}
-
+func shareRotations(l *quill.Lowered, canon []int, sched []schedEntry, nIn int, norm func(int) int) []schedEntry {
 	// defPos[v] is the schedule position defining canonical value v
 	// (-1 for inputs: defined before everything).
 	defPos := make([]int, l.NumValues())
@@ -100,10 +102,9 @@ func shareRotations(l *quill.Lowered, canon []int, sched []schedEntry, nIn int, 
 		byAmt[u.amt] = append(byAmt[u.amt], i)
 	}
 
-	// Greedy window fusion per amount, mirroring batchRotations: the
-	// earliest unconsumed unit leads, later units within the window
-	// join when their source is defined before the leader. A group
-	// survives as OpSharedRot when it has ≥2 members (shared Galois
+	// Greedy window fusion per amount: the earliest unconsumed unit
+	// leads, later units within the window join when their source is
+	// defined before the leader. A group survives as OpSharedRot when it has ≥2 members (shared Galois
 	// state) or its members include a multi-rotation source (resident
 	// decomposition); a singleton of a once-rotated source returns to
 	// the plain-step pool.
@@ -123,7 +124,7 @@ func shareRotations(l *quill.Lowered, canon []int, sched []schedEntry, nIn int, 
 			}
 			lead := units[us[i]]
 			members := []int{lead.idx}
-			for j := i + 1; j < len(us) && units[us[j]].pos-lead.pos <= window; j++ {
+			for j := i + 1; j < len(us) && units[us[j]].pos-lead.pos <= shareWindow; j++ {
 				if used[j] {
 					continue
 				}

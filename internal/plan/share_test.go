@@ -8,8 +8,8 @@ import (
 )
 
 // fanAcrossAmounts rotates one source by four distinct amounts — the
-// shape Pass 3 fuses into one hoisted group and the sharing pass
-// re-expresses as four per-amount groups replaying one decomposition.
+// shape Pass 3 groups into one fan and the sharing pass re-expresses as
+// four per-amount groups replaying one decomposition.
 func fanAcrossAmounts() *quill.Lowered {
 	return &quill.Lowered{
 		VecLen: 1024, NumCtInputs: 1,
@@ -27,11 +27,11 @@ func fanAcrossAmounts() *quill.Lowered {
 }
 
 // meetProgram rotates two sources by the same two amounts, interleaved
-// — the shape where double-hoisting strictly beats both predecessors:
-// hoisting shares each source's decomposition across its two amounts
-// but resolves Galois state per rotation; batching shares Galois state
-// per amount but decomposes every member. Sharing does both: two
-// decompositions, two groups.
+// — the shape where double-hoisting strictly beats sharing along one
+// axis: hoisting alone shares each source's decomposition across its
+// two amounts but resolves Galois state per rotation; batching alone
+// shares Galois state per amount but decomposes every member. Sharing
+// does both: two decompositions, two groups.
 func meetProgram() *quill.Lowered {
 	return &quill.Lowered{
 		VecLen: 1024, NumCtInputs: 2,
@@ -48,6 +48,51 @@ func meetProgram() *quill.Lowered {
 	}
 }
 
+// crossSourceProgram rotates two different sources by the same amount
+// (one rotation per source): the minimal shape the sharing pass fuses
+// into one cross-source group.
+func crossSourceProgram() *quill.Lowered {
+	return &quill.Lowered{
+		VecLen: 8, NumCtInputs: 2,
+		Instrs: []quill.LInstr{
+			{Op: quill.OpRotCt, Dst: 2, A: 0, Rot: 1},
+			{Op: quill.OpRotCt, Dst: 3, A: 1, Rot: 1},
+			{Op: quill.OpAddCtCt, Dst: 4, A: 2, B: 0},
+			{Op: quill.OpAddCtCt, Dst: 5, A: 3, B: 1},
+			{Op: quill.OpAddCtCt, Dst: 6, A: 4, B: 5},
+		},
+		Output: 6,
+	}
+}
+
+// interleavedTrees builds two log-depth reduction trees over separate
+// inputs with their levels interleaved — the schedule shape of two
+// SIMD-parallel slot reductions. Every level rotates a DIFFERENT
+// source (the previous accumulator) by the SAME amount as its sibling
+// tree, so each level is one cross-source group.
+func interleavedTrees(m int) *quill.Lowered {
+	l := &quill.Lowered{VecLen: 16, NumCtInputs: 2}
+	next := 2
+	emit := func(in quill.LInstr) int {
+		in.Dst = next
+		l.Instrs = append(l.Instrs, in)
+		next++
+		return in.Dst
+	}
+	accs := []int{0, 1}
+	for k := m / 2; k >= 1; k /= 2 {
+		var rots [2]int
+		for s := range accs {
+			rots[s] = emit(quill.LInstr{Op: quill.OpRotCt, A: accs[s], Rot: k})
+		}
+		for s := range accs {
+			accs[s] = emit(quill.LInstr{Op: quill.OpAddCtCt, A: accs[s], B: rots[s]})
+		}
+	}
+	l.Output = emit(quill.LInstr{Op: quill.OpAddCtCt, A: accs[0], B: accs[1]})
+	return l
+}
+
 // TestSharedDetectionFanAcrossAmounts: a four-way fan becomes four
 // per-amount shared groups over ONE decomposition slot — the first
 // member fills it, the other three replay.
@@ -58,9 +103,6 @@ func TestSharedDetectionFanAcrossAmounts(t *testing.T) {
 	}
 	if p.NumDecomps != 1 {
 		t.Errorf("NumDecomps = %d, want 1", p.NumDecomps)
-	}
-	if g, _ := p.HoistedGroups(); g != 0 {
-		t.Errorf("default compile still has %d hoisted groups", g)
 	}
 	fresh := 0
 	for i := range p.Steps {
@@ -122,8 +164,8 @@ func TestSharedDetectionCrossSource(t *testing.T) {
 
 // TestSharedMeetOfHoistingAndBatching: two sources × two amounts give
 // two groups of two members over two slots — four rotations, two
-// decompositions, two Galois resolves. Neither hoisting (4 resolves)
-// nor batching (4 decompositions) reaches that count.
+// decompositions, two Galois resolves. Neither hoisting alone (4
+// resolves) nor batching alone (4 decompositions) reaches that count.
 func TestSharedMeetOfHoistingAndBatching(t *testing.T) {
 	p := compile(t, meetProgram())
 	if g, r, rep := p.SharedGroups(); g != 2 || r != 4 || rep != 2 {
@@ -134,16 +176,6 @@ func TestSharedMeetOfHoistingAndBatching(t *testing.T) {
 	}
 	if d := p.DigitDecompositions(); d != 2 {
 		t.Errorf("DigitDecompositions = %d, want 2", d)
-	}
-	// The legacy compile fans each source (2 hoisted groups, also 2
-	// decompositions) but resolves Galois state once per rotation — 4
-	// resolves where sharing needs 2 (one per amount).
-	legacy := compileLegacy(t, meetProgram())
-	if hg, hr := legacy.HoistedGroups(); hg != 2 || hr != 4 {
-		t.Fatalf("legacy hoisted groups = %d (%d rotations), want 2 (4)", hg, hr)
-	}
-	if d := legacy.DigitDecompositions(); d != 2 {
-		t.Errorf("legacy compile decomposes %d times, want 2", d)
 	}
 	// The second group's members replay the slots the first filled, per
 	// source.
@@ -227,11 +259,76 @@ func TestSharedOnceRotatedStaysPlain(t *testing.T) {
 	}
 }
 
+// TestBatchDetectionParallelTrees: the sibling rotations of two
+// interleaved reduction trees fuse level by level — three groups (rot
+// 4, 2, 1) of two once-rotated sources each, every member filling its
+// own slot.
+func TestBatchDetectionParallelTrees(t *testing.T) {
+	p := compile(t, interleavedTrees(8))
+	if g, r, rep := p.SharedGroups(); g != 3 || r != 6 || rep != 0 {
+		t.Fatalf("shared groups = %d (%d rotations, %d replayed), want 3 (6, 0)", g, r, rep)
+	}
+	if err := p.Validate(testParams); err != nil {
+		t.Errorf("compiled shared plan fails validation: %v", err)
+	}
+}
+
+// TestBatchWindowBound: same-amount rotations of different sources
+// fuse only within shareWindow schedule entries — the window caps how
+// long member sources are kept live.
+func TestBatchWindowBound(t *testing.T) {
+	// The second same-amount rotation sits gap schedule entries after the
+	// first, with gap-1 additions in between.
+	apart := func(gap int) *quill.Lowered {
+		l := &quill.Lowered{VecLen: 8, NumCtInputs: 2}
+		l.Instrs = append(l.Instrs, quill.LInstr{Op: quill.OpRotCt, Dst: 2, A: 0, Rot: 1})
+		for i := 1; i < gap; i++ {
+			l.Instrs = append(l.Instrs, quill.LInstr{Op: quill.OpAddCtCt, Dst: 2 + i, A: 1 + i, B: 0})
+		}
+		r := 2 + gap
+		l.Instrs = append(l.Instrs,
+			quill.LInstr{Op: quill.OpRotCt, Dst: r, A: 1, Rot: 1},
+			quill.LInstr{Op: quill.OpAddCtCt, Dst: r + 1, A: r - 1, B: r})
+		l.Output = r + 1
+		return l
+	}
+	for gap, want := range map[int]int{1: 1, 3: 1, shareWindow: 1, shareWindow + 1: 0} {
+		p := compile(t, apart(gap))
+		if g, _, _ := p.SharedGroups(); g != want {
+			t.Errorf("rotations %d entries apart: %d groups, want %d", gap, g, want)
+		}
+		if err := p.Validate(testParams); err != nil {
+			t.Errorf("gap %d: %v", gap, err)
+		}
+	}
+}
+
+// TestBatchSourceDefinedBeforeLeader: a member whose source is defined
+// AFTER the would-be leader cannot move up to the leader's position,
+// so both once-rotated sources stay plain serial rotations.
+func TestBatchSourceDefinedBeforeLeader(t *testing.T) {
+	l := &quill.Lowered{
+		VecLen: 8, NumCtInputs: 1,
+		Instrs: []quill.LInstr{
+			{Op: quill.OpRotCt, Dst: 1, A: 0, Rot: 1}, // leader candidate
+			{Op: quill.OpAddCtCt, Dst: 2, A: 1, B: 0}, // v2 defined after the leader
+			{Op: quill.OpRotCt, Dst: 3, A: 2, Rot: 1}, // same amount, source v2
+			{Op: quill.OpAddCtCt, Dst: 4, A: 3, B: 2},
+		},
+		Output: 4,
+	}
+	p := compile(t, l)
+	if g, _, _ := p.SharedGroups(); g != 0 {
+		t.Errorf("fused a member whose source postdates the leader (%d groups)", g)
+	}
+}
+
 // TestSharedKernelDecompositionsPinned pins the static digit-
-// decomposition counts on the eleven Porcupine kernels: the shared
-// compile strictly decreases the count on every multi-rotation kernel
-// and never exceeds the legacy (PR 7) compile anywhere. The identity
-// shared = flat − replayed ties the savings to the replay mechanism.
+// decomposition counts on the eleven Porcupine kernels against their
+// flat counts — one decomposition per surviving rotation, recorded
+// when plans could still be compiled without grouping. The identity
+// shared = flat − replayed ties the savings to the replay mechanism,
+// and the count strictly decreases on every multi-rotation kernel.
 func TestSharedKernelDecompositionsPinned(t *testing.T) {
 	params, enc := testEnv(t)
 	// flat → shared counts; equal entries are the reduction kernels
@@ -254,31 +351,14 @@ func TestSharedKernelDecompositionsPinned(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		shared, err := Compile(params, enc, l)
+		p, err := Compile(params, enc, l)
 		if err != nil {
 			t.Fatal(err)
 		}
-		flat, err := CompileWithOptions(params, enc, l,
-			Options{DisableHoisting: true, DisableDomainAssignment: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		legacy, err := CompileWithOptions(params, enc, l, Options{DisableSharing: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		fd, sd := flat.DigitDecompositions(), shared.DigitDecompositions()
-		if fd != w[0] || sd != w[1] {
-			t.Errorf("%s: flat=%d shared=%d decompositions, want %d and %d", name, fd, sd, w[0], w[1])
-		}
-		if w[0] != w[1] && sd >= fd {
-			t.Errorf("%s: shared count %d does not strictly decrease from flat %d", name, sd, fd)
-		}
-		if ld := legacy.DigitDecompositions(); sd > ld {
-			t.Errorf("%s: shared count %d exceeds legacy %d", name, sd, ld)
-		}
-		if _, _, rep := shared.SharedGroups(); fd-rep != sd {
-			t.Errorf("%s: shared ≠ flat − replayed (%d ≠ %d − %d)", name, sd, fd, rep)
+		sd := p.DigitDecompositions()
+		_, _, rep := p.SharedGroups()
+		if sd != w[1] || sd+rep != w[0] {
+			t.Errorf("%s: %d decompositions + %d replayed, want %d of flat %d", name, sd, rep, w[1], w[0])
 		}
 	}
 }
@@ -336,17 +416,6 @@ func TestValidateRejectsMalformedShared(t *testing.T) {
 				}
 			}
 		}},
-		{"mixed-with-batched", func(p *ExecutionPlan) {
-			// Rewriting one group as a legacy batched step leaves the
-			// plan carrying both forms, which no executor generation
-			// understands together.
-			st := &p.Steps[sharedIdx(p)]
-			st.Op = OpBatchedRot
-			for _, m := range st.Shared {
-				st.Batch = append(st.Batch, BatchedSrc{Src: m.Src, Dst: m.Dst})
-			}
-			st.Shared = nil
-		}},
 		{"replay-before-fill", func(p *ExecutionPlan) {
 			p.Steps[sharedIdx(p)].Shared[0].Fresh = false
 		}},
@@ -371,7 +440,6 @@ func TestValidateRejectsMalformedShared(t *testing.T) {
 			p2.Steps = append([]Step(nil), base.Steps...)
 			for i := range p2.Steps {
 				p2.Steps[i].Shared = append([]SharedSrc(nil), base.Steps[i].Shared...)
-				p2.Steps[i].Batch = append([]BatchedSrc(nil), base.Steps[i].Batch...)
 			}
 			p2.Rotations = append([]int(nil), base.Rotations...)
 			c.mutate(&p2)
@@ -379,25 +447,5 @@ func TestValidateRejectsMalformedShared(t *testing.T) {
 				t.Error("malformed shared plan validated")
 			}
 		})
-	}
-}
-
-// TestSharedDisabledMatchesLegacy: DisableSharing reproduces the PR 7
-// pipeline exactly — hoisted and batched steps, one decomposition
-// buffer, no shared lists anywhere.
-func TestSharedDisabledMatchesLegacy(t *testing.T) {
-	for _, l := range []*quill.Lowered{fanAcrossAmounts(), crossSourceProgram(), meetProgram()} {
-		p := compileLegacy(t, l)
-		if g, _, _ := p.SharedGroups(); g != 0 {
-			t.Errorf("legacy compile has %d shared groups", g)
-		}
-		hg, _ := p.HoistedGroups()
-		bg, _ := p.BatchedGroups()
-		if hg+bg == 0 {
-			t.Errorf("legacy compile of a fusable program has no hoisted or batched groups")
-		}
-		if err := p.Validate(testParams); err != nil {
-			t.Errorf("legacy plan fails validation: %v", err)
-		}
 	}
 }

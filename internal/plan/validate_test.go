@@ -77,93 +77,3 @@ func TestValidateRejectsMalformed(t *testing.T) {
 		})
 	}
 }
-
-// hoistedPlan compiles a plan containing one hoisted fan-out group
-// whose source is a register (so source-alias corruption is
-// expressible).
-func hoistedPlan(t *testing.T) *ExecutionPlan {
-	t.Helper()
-	p := compileLegacy(t, &quill.Lowered{
-		VecLen: 1024, NumCtInputs: 1,
-		Instrs: []quill.LInstr{
-			{Op: quill.OpAddCtCt, Dst: 1, A: 0, B: 0},
-			{Op: quill.OpRotCt, Dst: 2, A: 1, Rot: 1},
-			{Op: quill.OpRotCt, Dst: 3, A: 1, Rot: 5},
-			{Op: quill.OpRotCt, Dst: 4, A: 1, Rot: -2},
-			{Op: quill.OpAddCtCt, Dst: 5, A: 2, B: 3},
-			{Op: quill.OpAddCtCt, Dst: 6, A: 5, B: 4},
-		},
-		Output: 6,
-	})
-	if g, r := p.HoistedGroups(); g != 1 || r != 3 {
-		t.Fatalf("hoisted groups = %d (%d rotations), want 1 (3)", g, r)
-	}
-	return p
-}
-
-// TestValidateRejectsMalformedHoisted corrupts the hoisted-step
-// invariants — the step kind wire decode v2 introduced — one at a
-// time.
-func TestValidateRejectsMalformedHoisted(t *testing.T) {
-	params, _ := testEnv(t)
-	hoistIdx := func(p *ExecutionPlan) int {
-		for i := range p.Steps {
-			if p.Steps[i].Op == OpHoistedRot {
-				return i
-			}
-		}
-		t.Fatal("no hoisted step")
-		return -1
-	}
-	cases := map[string]func(p *ExecutionPlan, h int){
-		"fan-too-small": func(p *ExecutionPlan, h int) {
-			p.Steps[h].Fan = p.Steps[h].Fan[:1]
-		},
-		"fan-dst-out-of-range": func(p *ExecutionPlan, h int) {
-			p.Steps[h].Fan[1].Dst = p.NumRegs
-		},
-		"fan-dst-duplicate": func(p *ExecutionPlan, h int) {
-			p.Steps[h].Fan[1].Dst = p.Steps[h].Fan[0].Dst
-		},
-		"fan-dst-aliases-source": func(p *ExecutionPlan, h int) {
-			p.Steps[h].Fan[1].Dst = p.Reg(p.Steps[h].A)
-		},
-		"fan-rot-zero": func(p *ExecutionPlan, h int) {
-			p.Steps[h].Fan[0].Rot = 0
-		},
-		"fan-rot-undeclared": func(p *ExecutionPlan, h int) {
-			p.Steps[h].Fan[0].Rot = 999
-		},
-		"fan-rot-duplicate": func(p *ExecutionPlan, h int) {
-			p.Steps[h].Fan[1].Rot = p.Steps[h].Fan[0].Rot
-		},
-		"dst-fan-mismatch": func(p *ExecutionPlan, h int) {
-			p.Steps[h].Dst = p.Steps[h].Fan[1].Dst
-		},
-		"fan-on-plain-step": func(p *ExecutionPlan, h int) {
-			p.Steps[0].Fan = []FanOut{{Dst: 0, Rot: 1}}
-		},
-		"numdecomps-mismatch": func(p *ExecutionPlan, h int) {
-			p.NumDecomps = 0
-		},
-	}
-	for name, corrupt := range cases {
-		t.Run(name, func(t *testing.T) {
-			p := hoistedPlan(t)
-			p2 := *p
-			p2.Steps = append([]Step(nil), p.Steps...)
-			for i := range p2.Steps {
-				p2.Steps[i].Fan = append([]FanOut(nil), p2.Steps[i].Fan...)
-			}
-			p2.Rotations = append([]int(nil), p.Rotations...)
-			corrupt(&p2, hoistIdx(&p2))
-			if err := p2.Validate(params); err == nil {
-				t.Fatalf("corruption %q passed validation", name)
-			}
-		})
-	}
-	// And the uncorrupted hoisted plan must pass.
-	if err := hoistedPlan(t).Validate(params); err != nil {
-		t.Fatalf("compiled hoisted plan fails Validate: %v", err)
-	}
-}

@@ -1,5 +1,5 @@
 // Package prof wires the standard pprof file profiles into the
-// benchmark commands (benchrot, benchmux, benchscale): importing it
+// benchmark commands (benchmux, benchscale): importing it
 // registers -cpuprofile/-memprofile on the default flag set, so perf
 // investigations run the shipped harnesses under the profiler instead
 // of requiring ad-hoc harness edits.

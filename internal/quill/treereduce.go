@@ -14,9 +14,9 @@ import "sort"
 //
 // and the natural way to write it — acc = rot(acc,1) + x repeated —
 // lowers to a serial fan-out-1 chain: m−1 rotations, each of a
-// DIFFERENT source, so neither rotation CSE, the plan hoister (every
-// fan-out is 1), nor domain assignment (each rotation ends a chain)
-// can touch it. The rewrite re-associates the same sum into one of two
+// DIFFERENT source, so neither rotation CSE, the plan's rotation
+// sharing (every fan-out is 1), nor domain assignment (each rotation
+// ends a chain) can touch it. The rewrite re-associates the same sum into one of two
 // shapes:
 //
 //	fan:  acc = Σ_i rot(x, c+i)              — m rotations, ONE source
@@ -38,7 +38,7 @@ import "sort"
 // rotation and addition one bit of depth and both have O(log m) add
 // depth. Parallel reductions over different sources come out
 // level-aligned, which is exactly the shape the plan layer's
-// cross-source batched key switching fuses.
+// cross-source shared groups fuse.
 //
 // Exactness: either rewrite preserves the multiset of LITERAL rotation
 // offsets applied to the base value — it only re-associates the

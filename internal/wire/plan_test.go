@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"errors"
 	"math/rand"
-	"reflect"
 	"slices"
 	"testing"
 
@@ -15,21 +14,9 @@ import (
 	"porcupine/internal/wire"
 )
 
-// legacyPlan compiles l with sharing disabled, so its hoisted and
-// batched groups survive as OpHoistedRot/OpBatchedRot steps (a default
-// compile folds them into shared groups): the plan section still
-// carries both kinds, and these tests keep them round-tripping.
-func legacyPlan(t *testing.T, ctx *backend.Context, l *quill.Lowered) *plan.ExecutionPlan {
-	t.Helper()
-	p, err := plan.CompileWithOptions(ctx.Params, ctx.Encoder, l, plan.Options{DisableSharing: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return p
-}
-
-// fanOutProgram rotates one source four distinct ways — the shape the
-// planner fuses into a hoisted group.
+// fanOutProgram rotates one source four distinct ways — a fan the
+// planner compiles to four shared groups over one decomposition slot,
+// all four destinations NTT-resident.
 func fanOutProgram() *quill.Lowered {
 	return &quill.Lowered{
 		VecLen: 1024, NumCtInputs: 1,
@@ -43,26 +30,6 @@ func fanOutProgram() *quill.Lowered {
 			{Op: quill.OpAddCtCt, Dst: 7, A: 6, B: 4},
 		},
 		Output: 7,
-	}
-}
-
-// TestHoistedPlanRoundTrip checks the fan list: a plan carrying hoisted
-// steps round-trips with every fan member intact.
-func TestHoistedPlanRoundTrip(t *testing.T) {
-	l := fanOutProgram()
-	ctx, plans, err := backend.NewTestServingContext("PN2048", 23, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plans[0] = legacyPlan(t, ctx, l)
-	if g, r := plans[0].HoistedGroups(); g != 1 || r != 4 {
-		t.Fatalf("hoisted plan has %d groups / %d rotations, want 1 / 4", g, r)
-	}
-	got := roundTripPlan(t, ctx, plans[0])
-	for i := range plans[0].Steps {
-		if !reflect.DeepEqual(got.Steps[i].Fan, plans[0].Steps[i].Fan) {
-			t.Fatalf("step %d fan %+v, want %+v", i, got.Steps[i].Fan, plans[0].Steps[i].Fan)
-		}
 	}
 }
 
@@ -88,64 +55,6 @@ func roundTripPlan(t *testing.T, ctx *backend.Context, p *plan.ExecutionPlan) *p
 	return got.Plan
 }
 
-// TestFanCorruptionRejected runs decode-side corruptions specific to
-// the fan list: every malformed fan must be refused as ErrInvalid
-// by the envelope's deep validation (plan.Validate), never panic.
-func TestFanCorruptionRejected(t *testing.T) {
-	l := fanOutProgram()
-	ctx, plans, err := backend.NewTestServingContext("PN2048", 23, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plans[0] = legacyPlan(t, ctx, l)
-	base, err := serve.Export(ctx, "plan-test", plans[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	corrupt := func(name string, mutate func(p *plan.ExecutionPlan)) {
-		t.Run(name, func(t *testing.T) {
-			// Deep-copy the plan's step/fan lists, corrupt, re-encode: the
-			// checksum is then valid and only semantic validation stands.
-			p2 := *plans[0]
-			p2.Steps = append([]plan.Step(nil), plans[0].Steps...)
-			for i := range p2.Steps {
-				p2.Steps[i].Fan = append([]plan.FanOut(nil), p2.Steps[i].Fan...)
-			}
-			p2.Rotations = append([]int(nil), plans[0].Rotations...)
-			mutate(&p2)
-			b2 := *base
-			b2.Plan = &p2
-			data, err := b2.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := wire.DecodeBundle(data); !errors.Is(err, wire.ErrInvalid) {
-				t.Fatalf("corrupted fan decoded: err = %v, want ErrInvalid", err)
-			}
-		})
-	}
-	hoistIdx := -1
-	for i := range plans[0].Steps {
-		if plans[0].Steps[i].Op == plan.OpHoistedRot {
-			hoistIdx = i
-		}
-	}
-	if hoistIdx < 0 {
-		t.Fatal("no hoisted step in base plan")
-	}
-	corrupt("fan-dst-out-of-range", func(p *plan.ExecutionPlan) { p.Steps[hoistIdx].Fan[0].Dst = p.NumRegs })
-	corrupt("fan-rot-undeclared", func(p *plan.ExecutionPlan) { p.Steps[hoistIdx].Fan[0].Rot = 777 })
-	corrupt("fan-rot-duplicate", func(p *plan.ExecutionPlan) { p.Steps[hoistIdx].Fan[1].Rot = p.Steps[hoistIdx].Fan[0].Rot })
-	corrupt("fan-on-plain-step", func(p *plan.ExecutionPlan) {
-		for i := range p.Steps {
-			if p.Steps[i].Op != plan.OpHoistedRot {
-				p.Steps[i].Fan = []plan.FanOut{{Dst: 0, Rot: 1}}
-				return
-			}
-		}
-	})
-}
-
 // TestDomainPlanRoundTrip checks the per-register domain bytes: the round
 // trip preserves the domain assignment exactly and re-derives the
 // prepared operand forms.
@@ -155,7 +64,6 @@ func TestDomainPlanRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans[0] = legacyPlan(t, ctx, l)
 	if nttRegs, convs := plans[0].DomainStats(); nttRegs == 0 || convs == 0 {
 		t.Fatalf("assigned plan has %d NTT regs / %d conversions, want both > 0", nttRegs, convs)
 	}
@@ -178,19 +86,18 @@ func TestDomainCorruptionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plans[0] = legacyPlan(t, ctx, l)
 	base, err := serve.Export(ctx, "plan-test", plans[0], nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hoistIdx := -1
+	sharedIdx := -1
 	for i := range plans[0].Steps {
-		if plans[0].Steps[i].Op == plan.OpHoistedRot {
-			hoistIdx = i
+		if plans[0].Steps[i].Op == plan.OpSharedRot {
+			sharedIdx = i
 		}
 	}
-	if hoistIdx < 0 {
-		t.Fatal("no hoisted step in base plan")
+	if sharedIdx < 0 {
+		t.Fatal("no shared step in base plan")
 	}
 	corrupt := func(name string, mutate func(p *plan.ExecutionPlan)) {
 		t.Run(name, func(t *testing.T) {
@@ -200,9 +107,6 @@ func TestDomainCorruptionRejected(t *testing.T) {
 			p2 := *plans[0]
 			p2.RegDomain = append([]plan.Domain(nil), plans[0].RegDomain...)
 			p2.Steps = append([]plan.Step(nil), plans[0].Steps...)
-			for i := range p2.Steps {
-				p2.Steps[i].Fan = append([]plan.FanOut(nil), p2.Steps[i].Fan...)
-			}
 			p2.Rotations = append([]int(nil), plans[0].Rotations...)
 			mutate(&p2)
 			b2 := *base
@@ -220,9 +124,9 @@ func TestDomainCorruptionRejected(t *testing.T) {
 		p.RegDomain[0] = 7
 	})
 	corrupt("fan-member-coeff-with-ntt-chain", func(p *plan.ExecutionPlan) {
-		// Flipping one fan destination to coefficient breaks the adds
-		// that consume it in the evaluation domain.
-		p.RegDomain[p.Steps[hoistIdx].Fan[0].Dst] = plan.DomCoeff
+		// Flipping one fan member's destination to coefficient breaks the
+		// adds that consume it in the evaluation domain.
+		p.RegDomain[p.Steps[sharedIdx].Shared[0].Dst] = plan.DomCoeff
 	})
 	corrupt("output-reg-ntt", func(p *plan.ExecutionPlan) {
 		p.RegDomain[p.Reg(p.Out)] = plan.DomNTT
@@ -233,128 +137,6 @@ func TestDomainCorruptionRejected(t *testing.T) {
 		for r := range p.RegDomain {
 			p.RegDomain[r] = plan.DomCoeff
 		}
-	})
-}
-
-// batchedProgram rotates two DIFFERENT sources by the same amount —
-// fan-out 1 per source, so hoisting leaves both serial and the planner
-// fuses them into one cross-source batched group.
-func batchedProgram() *quill.Lowered {
-	return &quill.Lowered{
-		VecLen: 1024, NumCtInputs: 2,
-		Instrs: []quill.LInstr{
-			{Op: quill.OpRotCt, Dst: 2, A: 0, Rot: 1},
-			{Op: quill.OpRotCt, Dst: 3, A: 1, Rot: 1},
-			{Op: quill.OpAddCtCt, Dst: 4, A: 2, B: 0},
-			{Op: quill.OpAddCtCt, Dst: 5, A: 3, B: 1},
-			{Op: quill.OpAddCtCt, Dst: 6, A: 4, B: 5},
-		},
-		Output: 6,
-	}
-}
-
-// TestBatchedPlanRoundTrip checks the batch member list: the round trip
-// preserves the groups exactly, and NumDecomps is re-derived at decode.
-func TestBatchedPlanRoundTrip(t *testing.T) {
-	l := batchedProgram()
-	ctx, plans, err := backend.NewTestServingContext("PN2048", 23, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plans[0] = legacyPlan(t, ctx, l)
-	got := roundTripPlan(t, ctx, plans[0])
-	g, r := got.BatchedGroups()
-	wg, wr := plans[0].BatchedGroups()
-	if g != wg || r != wr || wg != 1 {
-		t.Fatalf("decoded %d groups / %d rotations, want %d / %d", g, r, wg, wr)
-	}
-	if got.NumDecomps != 1 {
-		t.Fatalf("decoded NumDecomps %d, want 1", got.NumDecomps)
-	}
-}
-
-// TestBatchCorruptionRejected runs decode-side corruptions specific to
-// the batch list: every malformed group must be refused as
-// ErrInvalid by the envelope's deep validation, never panic and never
-// load a plan whose group would read a clobbered source.
-func TestBatchCorruptionRejected(t *testing.T) {
-	l := batchedProgram()
-	ctx, plans, err := backend.NewTestServingContext("PN2048", 23, l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plans[0] = legacyPlan(t, ctx, l)
-	base, err := serve.Export(ctx, "plan-test", plans[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batchIdx := -1
-	for i := range plans[0].Steps {
-		if plans[0].Steps[i].Op == plan.OpBatchedRot {
-			batchIdx = i
-		}
-	}
-	if batchIdx < 0 {
-		t.Fatal("no batched step in base plan")
-	}
-	corrupt := func(name string, mutate func(p *plan.ExecutionPlan)) {
-		t.Run(name, func(t *testing.T) {
-			p2 := *plans[0]
-			p2.Steps = append([]plan.Step(nil), plans[0].Steps...)
-			for i := range p2.Steps {
-				p2.Steps[i].Batch = append([]plan.BatchedSrc(nil), p2.Steps[i].Batch...)
-			}
-			p2.Rotations = append([]int(nil), plans[0].Rotations...)
-			mutate(&p2)
-			b2 := *base
-			b2.Plan = &p2
-			data, err := b2.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := wire.DecodeBundle(data); !errors.Is(err, wire.ErrInvalid) {
-				t.Fatalf("corrupted batch decoded: err = %v, want ErrInvalid", err)
-			}
-		})
-	}
-	corrupt("batch-src-out-of-range", func(p *plan.ExecutionPlan) {
-		p.Steps[batchIdx].Batch[0].Src = p.NumCtInputs + p.NumRegs
-		p.Steps[batchIdx].A = p.Steps[batchIdx].Batch[0].Src
-	})
-	corrupt("batch-dst-out-of-range", func(p *plan.ExecutionPlan) {
-		p.Steps[batchIdx].Batch[1].Dst = p.NumRegs
-	})
-	corrupt("batch-duplicate-src", func(p *plan.ExecutionPlan) {
-		p.Steps[batchIdx].Batch[1].Src = p.Steps[batchIdx].Batch[0].Src
-	})
-	corrupt("batch-duplicate-dst", func(p *plan.ExecutionPlan) {
-		p.Steps[batchIdx].Batch[1].Dst = p.Steps[batchIdx].Batch[0].Dst
-	})
-	corrupt("batch-dst-aliases-src", func(p *plan.ExecutionPlan) {
-		// Point a member's destination at another member's source
-		// register (sources here are inputs, so retarget the source to
-		// a register first: member 1 reads member 0's destination).
-		st := &p.Steps[batchIdx]
-		st.Batch[1].Src = p.NumCtInputs + st.Batch[0].Dst
-	})
-	corrupt("batch-singleton", func(p *plan.ExecutionPlan) {
-		st := &p.Steps[batchIdx]
-		st.Batch = st.Batch[:1]
-	})
-	corrupt("batch-rot-undeclared", func(p *plan.ExecutionPlan) {
-		p.Steps[batchIdx].Rot = 777
-	})
-	corrupt("batch-on-plain-step", func(p *plan.ExecutionPlan) {
-		for i := range p.Steps {
-			if p.Steps[i].Op != plan.OpBatchedRot {
-				p.Steps[i].Batch = []plan.BatchedSrc{{Src: 0, Dst: 0}}
-				return
-			}
-		}
-	})
-	corrupt("batch-head-mismatch", func(p *plan.ExecutionPlan) {
-		st := &p.Steps[batchIdx]
-		st.Dst = st.Batch[1].Dst
 	})
 }
 

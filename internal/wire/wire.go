@@ -24,7 +24,7 @@
 // append into one buffer allocated at the envelope's exact size;
 // decoders place ciphertexts in ring-pool polynomials.
 //
-// Version 7 is the one version this build reads and writes: any other
+// Version 8 is the one version this build reads and writes: any other
 // fails with ErrVersion (artifacts are cheap to re-export). Decoding is
 // strict and total: truncation, bit flips, foreign data, and
 // semantically malformed payloads (a plan indexing a register it never
@@ -54,10 +54,11 @@ import (
 const (
 	magic = "PCPN"
 	// Version is the one wire-format version this build reads and
-	// writes: v7 bit-packs residue rows and carries fresh ciphertexts
-	// seeded; its plan section is v6's. Prepared NTT operand forms are
-	// derived at decode time, never serialized.
-	Version    = 7
+	// writes: v8 bit-packs residue rows, carries fresh ciphertexts
+	// seeded, and encodes one member list per plan step (shared
+	// rotation groups). Prepared NTT operand forms are derived at decode
+	// time, never serialized.
+	Version    = 8
 	MinVersion = Version
 )
 
@@ -464,8 +465,8 @@ func encodePlan(w *writer, p *plan.ExecutionPlan) error {
 		w.u8(byte(d))
 	}
 	// One domain byte per register, in register order.
-	for r := range p.RegDeg {
-		w.u8(byte(p.RegDomainOf(r)))
+	for _, d := range p.RegDomain {
+		w.u8(byte(d))
 	}
 	w.u32(uint32(len(p.Steps)))
 	for i := range p.Steps {
@@ -477,19 +478,9 @@ func encodePlan(w *writer, p *plan.ExecutionPlan) error {
 		w.i64(int64(st.Rot))
 		w.i64(int64(st.Pt))
 		w.i64(int64(st.Con))
-		// Hoisted fan-out, batched and shared member lists, each empty
-		// for steps of other kinds. A shared member carries its
-		// decomposition slot and a strict 0/1 fill flag.
-		w.u32(uint32(len(st.Fan)))
-		for _, f := range st.Fan {
-			w.u32(uint32(f.Dst))
-			w.i64(int64(f.Rot))
-		}
-		w.u32(uint32(len(st.Batch)))
-		for _, m := range st.Batch {
-			w.i64(int64(m.Src))
-			w.u32(uint32(m.Dst))
-		}
+		// The shared member list, empty for steps of other kinds. A
+		// member carries its decomposition slot and a strict 0/1 fill
+		// flag.
 		w.u32(uint32(len(st.Shared)))
 		for _, m := range st.Shared {
 			w.i64(int64(m.Src))
@@ -516,9 +507,7 @@ func encodePlan(w *writer, p *plan.ExecutionPlan) error {
 }
 
 const (
-	stepWireSize   = 1 + 4 + 5*8 // fixed step fields, before the three member lists
-	fanWireSize    = 4 + 8
-	batchWireSize  = 8 + 4
+	stepWireSize   = 1 + 4 + 5*8   // fixed step fields, before the member list
 	sharedWireSize = 8 + 4 + 4 + 1 // src i64, dst u32, slot u32, fresh u8
 )
 
@@ -551,14 +540,6 @@ func decodePlan(r *reader, params *bfv.Parameters) (*plan.ExecutionPlan, error) 
 			Pt:  int(r.i64()),
 			Con: int(r.i64()),
 		}
-		nFan := r.count(fanWireSize)
-		for f := 0; f < nFan; f++ {
-			st.Fan = append(st.Fan, plan.FanOut{Dst: int(r.u32()), Rot: int(r.i64())})
-		}
-		nBatch := r.count(batchWireSize)
-		for m := 0; m < nBatch; m++ {
-			st.Batch = append(st.Batch, plan.BatchedSrc{Src: int(r.i64()), Dst: int(r.u32())})
-		}
 		nShared := r.count(sharedWireSize)
 		for m := 0; m < nShared; m++ {
 			sm := plan.SharedSrc{Src: int(r.i64()), Dst: int(r.u32()), Slot: int(r.u32())}
@@ -583,11 +564,7 @@ func decodePlan(r *reader, params *bfv.Parameters) (*plan.ExecutionPlan, error) 
 		p.Steps = append(p.Steps, st)
 		// NumDecomps is sized by the register allocator at compile time;
 		// derived, not serialized (plan.Validate checks the
-		// consistency): one transient buffer for legacy hoisted/batched
-		// groups, the peak slot index + 1 for double-hoisted plans.
-		if st.Op == plan.OpHoistedRot || st.Op == plan.OpBatchedRot {
-			p.NumDecomps = 1
-		}
+		// consistency): the peak slot index + 1.
 		for _, sm := range st.Shared {
 			if sm.Slot >= 0 && sm.Slot+1 > p.NumDecomps {
 				p.NumDecomps = sm.Slot + 1

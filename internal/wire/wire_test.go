@@ -4,8 +4,11 @@ import (
 	"crypto/sha256"
 	"errors"
 	"math/rand"
+	"os"
 	"path/filepath"
 	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"porcupine/internal/backend"
@@ -222,13 +225,44 @@ func TestOtherVersionsRefused(t *testing.T) {
 		if err := c.decode(c.data); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		for _, v := range []byte{0, 1, 2, 3, 4, 5, 6, 8, 255} {
+		for _, v := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 255} {
+			if v == wire.Version {
+				continue
+			}
 			d := append([]byte(nil), c.data...)
 			d[4] = v
 			resign(d)
 			if err := c.decode(d); !errors.Is(err, wire.ErrVersion) {
 				t.Errorf("%s stamped version %d: got %v, want ErrVersion", name, v, err)
 			}
+		}
+	}
+	// A checked-in fuzz reproducer of another version stops at the
+	// version check and never reaches the decoder path it was saved for:
+	// every corpus file must carry the current version byte.
+	files, err := filepath.Glob(filepath.Join("testdata", "fuzz", "*", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) == 0 {
+		t.Fatal("no checked-in wire fuzz corpus files")
+	}
+	for _, f := range files {
+		raw, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(strings.TrimSpace(string(raw)), "\n")
+		if len(lines) != 2 || lines[0] != "go test fuzz v1" ||
+			!strings.HasPrefix(lines[1], "[]byte(") || !strings.HasSuffix(lines[1], ")") {
+			t.Fatalf("%s: not a one-value []byte fuzz corpus file", f)
+		}
+		data, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(lines[1], "[]byte("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", f, err)
+		}
+		if len(data) < 5 || data[4] != wire.Version {
+			t.Errorf("%s: corpus envelope does not carry wire version %d; re-stamp byte 4", f, wire.Version)
 		}
 	}
 }
