@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race test-short test-benchmark fuzz bench bench-figure4 bench-ops bench-synth bench-serve bench-scale bench-mux smoke-serve smoke-wire smoke-registry alloc-canary
+.PHONY: all build vet test test-race test-short test-benchmark fuzz bench bench-figure4 bench-ops bench-synth bench-serve bench-scale bench-mux smoke-serve smoke-registry alloc-canary
 
 all: vet build test-short
 
@@ -76,18 +76,11 @@ bench-serve:
 	$(GO) test -run '^$$' -bench BenchmarkPlanThroughput -benchtime 50x -count 3 -timeout 1800s .
 
 # Quick end-to-end serving check (used by CI): synthesize box-blur,
-# build a serving context, push requests through the batched scheduler
-# across 2 sessions, verify every response bit-identical.
+# serve it in process as a registry of one, push requests through the
+# batched scheduler across 2 sessions, verify every response against
+# the reference.
 smoke-serve:
 	$(GO) run ./cmd/porcupine -run box-blur -iters 4 -workers 2 -no-cache -timeout 2m
-
-# Multi-process serving smoke (mirrors the CI cross-process job): one
-# process exports the box-blur artifact, a second loads it and proves
-# bit-identical execution from the artifact alone.
-smoke-wire:
-	$(GO) build -o /tmp/porcupine-smoke ./cmd/porcupine
-	/tmp/porcupine-smoke -kernel box-blur -export-plan /tmp/porcupine-smoke.pplan -no-cache -timeout 2m
-	/tmp/porcupine-smoke -load-plan /tmp/porcupine-smoke.pplan -iters 4 -workers 2
 
 # Multi-kernel registry smoke (mirrors the CI cross-process job): one
 # process exports the full 11-kernel registry from the hand-written

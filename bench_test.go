@@ -123,11 +123,7 @@ func BenchmarkFigure4(b *testing.B) {
 			b.Fatal(err)
 		}
 		c := compiledKernel(b, name)
-		preset := "PN4096"
-		if base.MultDepth() > 2 || c.Lowered.MultDepth() > 2 {
-			preset = "PN8192"
-		}
-		rt, err := backend.NewTestRuntime(preset, 7, base, c.Lowered)
+		rt, err := backend.NewTestRuntime(backend.PresetFor(base, c.Lowered), 7, base, c.Lowered)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -171,11 +167,7 @@ func BenchmarkPlanThroughput(b *testing.B) {
 	for _, name := range []string{"box-blur", "hamming-distance"} {
 		spec := kernels.ByName(name)
 		c := compiledKernel(b, name)
-		preset := "PN4096"
-		if c.Lowered.MultDepth() > 2 {
-			preset = "PN8192"
-		}
-		rt, err := backend.NewTestRuntime(preset, 7, c.Lowered)
+		rt, err := backend.NewTestRuntime(backend.PresetFor(c.Lowered), 7, c.Lowered)
 		if err != nil {
 			b.Fatal(err)
 		}

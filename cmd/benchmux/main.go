@@ -155,10 +155,7 @@ func measureMux(name string, iters int) (*kernelMux, string, error) {
 	if err != nil {
 		return nil, "", err
 	}
-	preset := "PN4096"
-	if l.MultDepth() > 2 {
-		preset = "PN8192"
-	}
+	preset := backend.PresetFor(l)
 	ctx, plans, err := backend.NewTestMuxServingContext(preset, 7, 0, l)
 	if err != nil {
 		return nil, "", err

@@ -213,10 +213,7 @@ func measureScale(name string, sweep []int, iters int) (*kernelScale, error) {
 	if err != nil {
 		return nil, err
 	}
-	preset := "PN4096"
-	if l.MultDepth() > 2 {
-		preset = "PN8192"
-	}
+	preset := backend.PresetFor(l)
 	rt, err := backend.NewTestRuntime(preset, 7, l)
 	if err != nil {
 		return nil, err

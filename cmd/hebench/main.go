@@ -84,15 +84,6 @@ func synthOpts() porcupine.Options {
 	return porcupine.Options{Timeout: *timeout, Seed: *seed}
 }
 
-// presetFor picks BFV parameters deep enough for the kernel's
-// multiplicative depth.
-func presetFor(l *quill.Lowered) string {
-	if l.MultDepth() > 2 {
-		return "PN8192"
-	}
-	return "PN4096"
-}
-
 var suiteCache *core.Suite
 
 func suite() (*core.Suite, error) {
@@ -125,10 +116,7 @@ func fig4() error {
 		if err != nil {
 			return err
 		}
-		preset := presetFor(base)
-		if p2 := presetFor(c.Lowered); p2 > preset {
-			preset = p2
-		}
+		preset := backend.PresetFor(base, c.Lowered)
 		baseLat, synthLat, err := timeKernelPair(c.Spec, base, c.Lowered, preset)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)

@@ -8,10 +8,8 @@
 //	porcupine -kernel gx [-seal] [-timeout 5m] [-seed 1]
 //	porcupine -run gx [-iters 100] [-workers 4] [-ring-workers 2] [-preset PN4096]
 //	porcupine -build [-kernels gx,gy,sobel] [-workers 4] [-cache-dir DIR | -no-cache]
-//	porcupine -kernel box-blur -export-plan FILE [-export-request REQ]
-//	porcupine -load-plan FILE [-iters 100] [-workers 4] [-ring-workers 2]
-//	porcupine -serve ADDR (-kernel NAME | -load-plan FILE | -load-registry FILE)
-//	porcupine -export-registry FILE [-kernels gx,gy] [-baseline] [-preset PN4096]
+//	porcupine -serve ADDR (-kernel NAME | -load-registry FILE)
+//	porcupine -export-registry FILE [-kernels gx,gy] [-baseline] [-preset PN4096] [-export-request DIR]
 //	porcupine -load-registry FILE [-iters 3] [-run KERNEL]
 //	porcupine -list
 //
@@ -22,13 +20,23 @@
 // persistent content-addressed cache, so a warm rebuild of the whole
 // suite returns in milliseconds.
 //
-// Serving mode (-run KERNEL) compiles the kernel (through the cache),
-// builds a shared serving context with exactly the Galois keys the
-// kernel's execution plan needs, then pushes -iters requests through
-// the batched scheduler across -workers sessions and prints a
+// Every serving mode serves a registry: a manifest of named execution
+// plans sharing one parameter set and one set of evaluation keys. A
+// single kernel is a registry of one.
+//
+// Serving mode (-run KERNEL) compiles the kernel (through the cache)
+// and serves it in process as a registry of one: a keyholder context
+// with exactly the Galois keys the kernel's execution plan needs, and
+// a seeded self-test sample whose decrypted answer must match the
+// plaintext reference. It then pushes -iters copies of the sample
+// through the batched scheduler across -workers sessions and prints a
 // throughput report (runs/sec, latency, batching, queue depth). Every
-// response is verified bit-identical against the reference execution;
-// any mismatch or failed request exits nonzero.
+// per-request response must be bit-identical to the reference
+// execution; any failed or mismatched request exits nonzero.
+//
+// -preset defaults to the smallest preset deep enough for the kernels
+// served (PN8192 beyond multiplicative depth 2, else PN4096); an
+// explicit -preset wins.
 //
 // Serving parallelism is two-level: -sched-workers (alias of -workers
 // for serving modes) sets batch-level concurrency (independent
@@ -38,45 +46,32 @@
 //
 // Multi-process serving splits compilation from execution:
 //
-//	-export-plan FILE   compiles -kernel, generates keys, and writes a
-//	                    versioned, checksummed artifact holding the
-//	                    execution plan, the public evaluation keys it
-//	                    declares (relin + canonical Galois set), the
-//	                    parameter fingerprint, and an encrypted
-//	                    self-test sample. The secret key never leaves
-//	                    the exporting process.
-//	-export-request F   also writes the wire-encoded self-test request
-//	                    (for POSTing to a serving process).
-//	-load-plan FILE     loads the artifact in a fresh process (no
-//	                    synthesis, no secret key), executes the
-//	                    embedded sample -iters times across -workers
-//	                    sessions, and verifies every output is
-//	                    bit-identical to the exporter's — the
-//	                    cross-process differential check.
-//	-serve ADDR         serves the kernel over HTTP (endpoints:
-//	                    /healthz /plan /stats /selftest /run), either
-//	                    from a fresh in-process compile (-kernel) or
-//	                    from the artifact alone (-load-plan).
-//
-// Multi-kernel serving bundles the whole suite into ONE artifact:
-//
 //	-export-registry F  compiles every kernel (or the -kernels subset),
 //	                    builds one shared context whose Galois keys
 //	                    also cover each eligible kernel's slot-
 //	                    multiplexing lanes, and writes a wire
 //	                    registry: the manifest of named plans, one
 //	                    key-material section, and per-kernel self-test
-//	                    samples.
+//	                    samples. The secret key never leaves the
+//	                    exporting process.
+//	-export-request DIR also writes every kernel's wire-encoded sample
+//	                    request to DIR/<kernel>.preq (bodies to POST at
+//	                    /run/{kernel}).
 //	-load-registry F    alone: loads the registry in a fresh process
 //	                    (no secret key) and verifies every kernel's
 //	                    sample reproduces the exporter's output bit for
-//	                    bit. With -run KERNEL: pushes -iters copies of
-//	                    that kernel's sample through the catalog
-//	                    scheduler (same-kernel bursts lane-pack when
-//	                    the manifest carries a mux geometry). With
-//	                    -serve ADDR: serves every kernel from one
-//	                    process (endpoints: /healthz /kernels /stats
-//	                    /selftest/{kernel} /run/{kernel}).
+//	                    bit — the cross-process differential check, at
+//	                    the -ring-workers step parallelism. With -run
+//	                    KERNEL: pushes -iters copies of that kernel's
+//	                    sample through the catalog scheduler
+//	                    (same-kernel bursts lane-pack when the manifest
+//	                    carries a mux geometry).
+//	-serve ADDR         serves every kernel of the registry over HTTP
+//	                    (endpoints: /healthz /kernels /stats
+//	                    /selftest/{kernel} /run/{kernel}), either from
+//	                    the artifact alone (-load-registry) or from a
+//	                    fresh in-process compile of one kernel
+//	                    (-kernel).
 //	-baseline           uses the hand-written baseline programs instead
 //	                    of synthesis — no cache, milliseconds instead
 //	                    of minutes; what CI drives.
@@ -120,13 +115,13 @@ func (e usageError) Error() string { return string(e) }
 
 func run() error {
 	var (
-		kernel   = flag.String("kernel", "", "kernel to compile and print (see -list)")
+		kernel   = flag.String("kernel", "", "kernel to compile and print (see -list); with -serve, the kernel to compile and serve")
 		build    = flag.Bool("build", false, "batch-compile the kernel suite")
 		run      = flag.String("run", "", "kernel to serve on the BFV backend (throughput mode; see -iters, -workers)")
 		iters    = flag.Int("iters", 1, "total plan executions for -run")
-		subset   = flag.String("kernels", "", "comma-separated subset for -build (default: all)")
+		subset   = flag.String("kernels", "", "comma-separated subset for -build or -export-registry (default: all)")
 		workers  = flag.Int("workers", 0, "worker budget: synthesis workers for -build, serving sessions for -run (default: GOMAXPROCS / 1)")
-		schedW   = flag.Int("sched-workers", 0, "serving sessions (batch-level concurrency) for -run/-serve/-load-plan; overrides -workers there")
+		schedW   = flag.Int("sched-workers", 0, "serving sessions (batch-level concurrency) for -run/-serve/-load-registry; overrides -workers there")
 		ringW    = flag.Int("ring-workers", 0, "intra-request parallelism per session: ring hot loops and independent plan steps fan out across this many pool workers (0 = serial)")
 		cacheDir = flag.String("cache-dir", porcupine.DefaultCacheDir(), "persistent synthesis cache directory")
 		cacheMax = flag.Int("cache-max-entries", 0, "max synthesis cache entries, LRU-evicted (0 = unlimited)")
@@ -135,14 +130,12 @@ func run() error {
 		refresh  = flag.Bool("refresh", false, "re-synthesize cached kernels whose optimization previously timed out (Optimal=no), e.g. with a larger -timeout")
 		list     = flag.Bool("list", false, "list available kernels")
 		seal     = flag.Bool("seal", false, "emit SEAL C++ for the synthesized kernel")
-		export   = flag.String("export-plan", "", "compile -kernel and write its serving artifact (plan + evaluation keys + self-test sample) to FILE")
-		expReq   = flag.String("export-request", "", "with -export-plan: also write the wire-encoded self-test request to FILE; with -export-registry: write every kernel's sample request to DIR/<kernel>.preq")
-		loadPlan = flag.String("load-plan", "", "load a serving artifact FILE instead of compiling: alone, run the cross-process self-check; with -serve, serve from it")
-		expReg   = flag.String("export-registry", "", "compile the kernel suite (or the -kernels subset) and write the multi-kernel registry artifact to FILE")
+		expReq   = flag.String("export-request", "", "with -export-registry: write every kernel's sample request to DIR/<kernel>.preq")
+		expReg   = flag.String("export-registry", "", "compile the kernel suite (or the -kernels subset) and write the registry artifact to FILE")
 		loadReg  = flag.String("load-registry", "", "load a registry FILE: alone, verify every kernel's self-test; with -run KERNEL, push -iters requests at that kernel; with -serve, host every kernel")
 		baseLow  = flag.Bool("baseline", false, "use the hand-written baseline programs instead of synthesis (no cache, no timeout; what CI drives)")
-		serveAdr = flag.String("serve", "", "serve over HTTP on ADDR (host:port); needs -kernel, -load-plan or -load-registry")
-		preset   = flag.String("preset", "PN4096", "BFV parameter preset for -run/-export-plan/-serve -kernel (PN2048, PN4096, PN8192)")
+		serveAdr = flag.String("serve", "", "serve over HTTP on ADDR (host:port); needs -kernel or -load-registry")
+		preset   = flag.String("preset", "", "BFV parameter preset for -run/-export-registry/-serve -kernel (PN2048, PN4096, PN8192; default: PN8192 beyond multiplicative depth 2, else PN4096)")
 		timeout  = flag.Duration("timeout", 20*time.Minute, "synthesis time budget (per kernel in -build)")
 		seed     = flag.Int64("seed", 1, "synthesis random seed")
 		quick    = flag.Bool("quick", false, "stop after the initial (component-minimal) solution")
@@ -156,14 +149,14 @@ func run() error {
 	explicit := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
 	compileServe := *serveAdr != "" && *kernel != "" // -serve backed by an in-process compile
-	if explicit["preset"] && *run == "" && *export == "" && *expReg == "" && !compileServe {
-		if *loadPlan != "" || *loadReg != "" {
-			return usageError("-preset is ignored with -load-plan/-load-registry (parameters come from the artifact)")
+	if explicit["preset"] && *run == "" && *expReg == "" && !compileServe {
+		if *loadReg != "" {
+			return usageError("-preset is ignored with -load-registry (parameters come from the artifact)")
 		}
-		return usageError("-preset requires -run, -export-plan, -export-registry, or -serve with -kernel")
+		return usageError("-preset requires -run, -export-registry, or -serve with -kernel")
 	}
-	if explicit["iters"] && *run == "" && ((*loadPlan == "" && *loadReg == "") || *serveAdr != "") {
-		return usageError("-iters requires -run, -load-plan or -load-registry")
+	if explicit["iters"] && *run == "" && (*loadReg == "" || *serveAdr != "") {
+		return usageError("-iters requires -run or -load-registry")
 	}
 	if *baseLow {
 		switch {
@@ -171,8 +164,8 @@ func run() error {
 			return usageError("-baseline does not combine with -build (batch mode exists to synthesize)")
 		case *infer:
 			return usageError("-baseline does not combine with -infer")
-		case *loadPlan != "" || *loadReg != "":
-			return usageError("-baseline is ignored with -load-plan/-load-registry (plans come from the artifact)")
+		case *loadReg != "":
+			return usageError("-baseline is ignored with -load-registry (plans come from the artifact)")
 		}
 	}
 	if *list {
@@ -181,36 +174,21 @@ func run() error {
 		}
 		return nil
 	}
-	if *expReq != "" && *export == "" && *expReg == "" {
-		return usageError("-export-request requires -export-plan or -export-registry")
+	if *expReq != "" && *expReg == "" {
+		return usageError("-export-request requires -export-registry")
 	}
 	switch {
 	case *expReg != "":
 		switch {
-		case *build || *run != "" || *serveAdr != "" || *loadPlan != "" || *loadReg != "" || *kernel != "" || *export != "":
+		case *build || *run != "" || *serveAdr != "" || *loadReg != "" || *kernel != "":
 			return usageError("-export-registry combines only with -kernels (the subset), -baseline and -preset")
 		case *seal || *infer:
 			return usageError("-seal/-infer do not combine with -export-registry")
 		}
-	case *export != "":
-		switch {
-		case *kernel == "":
-			return usageError("-export-plan requires -kernel (the kernel to compile and export)")
-		case *build || *run != "" || *serveAdr != "" || *loadPlan != "" || *loadReg != "":
-			return usageError("-export-plan combines only with -kernel")
-		case *seal || *infer:
-			return usageError("-seal/-infer do not combine with -export-plan")
-		}
 	case *serveAdr != "":
-		sources := 0
-		for _, on := range []bool{*kernel != "", *loadPlan != "", *loadReg != ""} {
-			if on {
-				sources++
-			}
-		}
 		switch {
-		case sources != 1:
-			return usageError("-serve needs exactly one source: -kernel NAME (compile here), -load-plan FILE, or -load-registry FILE")
+		case (*kernel != "") == (*loadReg != ""):
+			return usageError("-serve needs exactly one source: -kernel NAME (compile here) or -load-registry FILE")
 		case *build || *run != "":
 			return usageError("-serve does not combine with -build or -run")
 		case *seal || *infer:
@@ -218,17 +196,10 @@ func run() error {
 		}
 	case *loadReg != "":
 		switch {
-		case *build || *kernel != "" || *loadPlan != "":
+		case *build || *kernel != "":
 			return usageError("-load-registry combines only with -run KERNEL or -serve (or stands alone as the cross-process self-check)")
 		case *seal || *infer:
 			return usageError("-seal/-infer do not combine with -load-registry")
-		}
-	case *loadPlan != "":
-		switch {
-		case *build || *run != "" || *kernel != "":
-			return usageError("-load-plan combines only with -serve (or stands alone as the cross-process self-check)")
-		case *seal || *infer:
-			return usageError("-seal/-infer do not combine with -load-plan")
 		}
 	default:
 		modes := 0
@@ -241,6 +212,7 @@ func run() error {
 			return usageError("-build, -kernel and -run are mutually exclusive")
 		}
 	}
+	serving := *run != "" || *serveAdr != "" || *loadReg != ""
 	if *build {
 		// Reject single-kernel flags that -build would silently ignore.
 		switch {
@@ -253,11 +225,11 @@ func run() error {
 		if *subset != "" && *expReg == "" {
 			return usageError("-kernels requires -build or -export-registry")
 		}
-		if *workers != 0 && *run == "" && *serveAdr == "" && *loadPlan == "" && *loadReg == "" {
-			return usageError("-workers requires -build, -run, -serve, -load-plan or -load-registry (single-kernel synthesis uses GOMAXPROCS)")
+		if *workers != 0 && !serving {
+			return usageError("-workers requires -build, -run, -serve or -load-registry (single-kernel synthesis uses GOMAXPROCS)")
 		}
-		if (*schedW != 0 || *ringW != 0) && *run == "" && *serveAdr == "" && *loadPlan == "" && *loadReg == "" {
-			return usageError("-sched-workers/-ring-workers require -run, -serve, -load-plan or -load-registry")
+		if (*schedW != 0 || *ringW != 0) && !serving {
+			return usageError("-sched-workers/-ring-workers require -run, -serve or -load-registry")
 		}
 		if *run != "" {
 			switch {
@@ -289,12 +261,6 @@ func run() error {
 	if *build {
 		return runBuild(*subset, *workers, opts)
 	}
-	// Serving modes: -sched-workers overrides -workers for the session
-	// count; -ring-workers sets the intra-request share.
-	sessions := *workers
-	if *schedW != 0 {
-		sessions = *schedW
-	}
 	if *expReg != "" {
 		if *subset != "" {
 			if err := checkKernelNames(*subset); err != nil {
@@ -303,37 +269,24 @@ func run() error {
 		}
 		return runExportRegistry(*subset, *preset, *expReg, *expReq, *seed, opts)
 	}
-	if *run != "" {
-		if err := checkKernelNames(*run); err != nil {
-			return err
+	if serving {
+		// -sched-workers overrides -workers for the session count;
+		// -ring-workers sets the intra-request share.
+		sessions := *workers
+		if *schedW != 0 {
+			sessions = *schedW
 		}
-		if *loadReg != "" {
-			return runRegistryRun(*loadReg, *run, *iters, sessions, *ringW)
+		cfg := porcupine.ServeConfig{Sessions: max(sessions, 1), RingWorkers: *ringW}
+		name := *run
+		if name == "" {
+			name = *kernel
 		}
-		return runServe(*run, *preset, *iters, sessions, *ringW, *seed, opts)
-	}
-	if *loadReg != "" && *serveAdr == "" {
-		return runLoadRegistryCheck(*loadReg, *iters, sessions, *ringW)
-	}
-	if *loadPlan != "" && *serveAdr == "" {
-		return runLoadCheck(*loadPlan, *iters, sessions, *ringW)
-	}
-	if *serveAdr != "" {
-		if *loadReg != "" {
-			return runServeRegistryHTTP(*serveAdr, *loadReg, sessions, *ringW)
-		}
-		if *kernel != "" {
-			if err := checkKernelNames(*kernel); err != nil {
+		if name != "" {
+			if err := checkKernelNames(name); err != nil {
 				return err
 			}
 		}
-		return runServeHTTP(*serveAdr, *kernel, *loadPlan, *preset, sessions, *ringW, *seed, opts)
-	}
-	if *export != "" {
-		if err := checkKernelNames(*kernel); err != nil {
-			return err
-		}
-		return runExport(*kernel, *preset, *export, *expReq, *seed, opts)
+		return runServing(*loadReg, name, *serveAdr, *preset, *iters, *seed, cfg, opts)
 	}
 	if *kernel == "" {
 		return usageError("no kernel given (use -kernel NAME, -run NAME, -build, or -list)")
@@ -580,121 +533,171 @@ func compileSuiteFor(name string, opts porcupine.Options) (*porcupine.Compiled, 
 	return &porcupine.Compiled{Name: name, Spec: spec, Result: nil, Lowered: lowered}, nil
 }
 
-// buildServing compiles a kernel, builds a full serving context with
-// exactly the Galois keys the plan needs, and materializes the
-// deterministic sample request (seeded) used for self-testing.
-func buildServing(kernel, preset string, seed int64, opts porcupine.Options) (*porcupine.Compiled, *porcupine.Context, *porcupine.ExecutionPlan, *porcupine.WireRequest, *exampleRef, error) {
+// runServing is every serving mode. With a registry path it serves
+// the artifact from a sealed context (no secret key); otherwise it
+// compiles kernel and serves it in process as a registry of one. Then
+// -serve hosts the catalog over HTTP, -run drives kernel's sample
+// through it, and a loaded registry alone runs every kernel's
+// self-test.
+func runServing(regPath, kernel, addr, preset string, iters int, seed int64, cfg porcupine.ServeConfig, opts porcupine.Options) error {
+	var (
+		cat *porcupine.Catalog
+		err error
+	)
+	if regPath != "" {
+		cat, preset, err = loadCatalog(regPath, cfg)
+	} else if cat, err = localCatalog(kernel, preset, seed, cfg, opts); err == nil {
+		preset = cat.Ctx.Params.Name()
+	}
+	if err != nil {
+		return err
+	}
+	defer cat.Close()
+	switch {
+	case addr != "":
+		return serveHTTP(addr, cat, preset)
+	case kernel == "":
+		return checkCatalog(cat, iters)
+	default:
+		return driveKernel(cat, kernel, iters)
+	}
+}
+
+// loadCatalog reads a registry artifact and serves it from a sealed
+// execute-only context; it also returns the registry's preset name.
+func loadCatalog(path string, cfg porcupine.ServeConfig) (*porcupine.Catalog, string, error) {
+	reg, err := porcupine.ReadRegistryFile(path)
+	if err != nil {
+		return nil, "", err
+	}
+	fmt.Printf("loaded %s: %d kernels (preset %s), fingerprint %s\n",
+		path, len(reg.Entries), reg.Preset, reg.Params.FingerprintHex())
+	cat, err := porcupine.LoadRegistry(reg, cfg)
+	return cat, reg.Preset, err
+}
+
+// localCatalog compiles one kernel and serves it in process as a
+// registry of one: a keyholder context holding exactly the Galois keys
+// the plan needs (preset "" picks the smallest deep enough), the
+// seeded self-test sample, and a catalog over that context. The
+// exporter's answer to the sample must decrypt to the plaintext
+// reference.
+func localCatalog(kernel, preset string, seed int64, cfg porcupine.ServeConfig, opts porcupine.Options) (*porcupine.Catalog, error) {
 	fmt.Printf("compiling %s ...\n", kernel)
 	c, err := compileAny(kernel, opts)
 	if err != nil {
-		return nil, nil, nil, nil, nil, err
+		return nil, err
+	}
+	if preset == "" {
+		preset = porcupine.PresetFor(c.Lowered)
 	}
 	fmt.Printf("building serving context (preset %s) ...\n", preset)
 	ctx, plans, err := porcupine.NewServingContext(preset, c.Lowered)
 	if err != nil {
-		return nil, nil, nil, nil, nil, err
+		return nil, err
 	}
 	pl := plans[0]
 	fmt.Printf("plan: %d steps over %d ciphertext buffers, %d pre-encoded constants, Galois keys %v\n",
 		pl.InstructionCount(), pl.NumRegs, len(pl.Consts), pl.Rotations)
+	names := []string{kernel}
+	samples, examples, err := encryptSamples(ctx, names, seed)
+	if err != nil {
+		return nil, err
+	}
+	reg, err := porcupine.ExportRegistry(ctx, names, plans, samples)
+	if err != nil {
+		return nil, err
+	}
+	expected := reg.Entries[0].Expected
+	if got := ctx.DecryptVec(expected, c.Spec.VecLen); !c.Spec.Matches(got, examples[0]) {
+		return nil, fmt.Errorf("BFV output disagrees with the plaintext reference")
+	}
+	fmt.Printf("reference answer decrypts to the plaintext reference, noise budget %.0f bits\n", ctx.NoiseBudget(expected))
+	return porcupine.NewCatalog(ctx, reg, cfg)
+}
 
+// encryptSamples draws one seeded example per kernel from a single
+// stream and encrypts its ciphertext inputs under ctx: the self-test
+// samples a registry embeds. The plaintext examples stay with the
+// keyholder.
+func encryptSamples(ctx *porcupine.Context, names []string, seed int64) ([]*porcupine.WireRequest, []*porcupine.Example, error) {
 	rng := rand.New(rand.NewSource(seed))
-	assign := make([]uint64, c.Spec.NumVars)
-	for i := range assign {
-		assign[i] = rng.Uint64() % 64
-	}
-	ex := c.Spec.NewExample(assign)
-	sample := &porcupine.WireRequest{PtIn: ex.PtIn}
-	for _, v := range ex.CtIn {
-		ct, err := ctx.EncryptVec(v)
-		if err != nil {
-			return nil, nil, nil, nil, nil, err
+	samples := make([]*porcupine.WireRequest, len(names))
+	examples := make([]*porcupine.Example, len(names))
+	for i, name := range names {
+		spec := porcupine.KernelSpec(name)
+		assign := make([]uint64, spec.NumVars)
+		for j := range assign {
+			assign[j] = rng.Uint64() % 64
 		}
-		sample.CtIn = append(sample.CtIn, ct)
+		ex := spec.NewExample(assign)
+		s := &porcupine.WireRequest{PtIn: ex.PtIn}
+		for _, v := range ex.CtIn {
+			ct, err := ctx.EncryptVec(v)
+			if err != nil {
+				return nil, nil, err
+			}
+			s.CtIn = append(s.CtIn, ct)
+		}
+		samples[i], examples[i] = s, ex
 	}
-	return c, ctx, pl, sample, &exampleRef{spec: c.Spec, ex: ex}, nil
+	return samples, examples, nil
 }
 
-// exampleRef carries the plaintext reference of the sample request for
-// decrypt-side verification (only possible on the exporting side).
-type exampleRef struct {
-	spec *porcupine.Spec
-	ex   *porcupine.Example
-}
-
-// runServe compiles a kernel, builds a serving context, then pushes
-// iters requests through the batched scheduler across workers
-// sessions and prints a throughput report. Every response is checked
-// bit-identical to the reference execution; any failed or mismatched
-// request makes the run exit nonzero.
-func runServe(kernel, preset string, iters, workers, ringWorkers int, seed int64, opts porcupine.Options) error {
-	if iters < 1 {
-		iters = 1
+// driveKernel pushes iters copies of the kernel's embedded sample
+// through the catalog scheduler at once, so same-kernel bursts
+// coalesce (and lane-pack when the manifest carries a mux geometry),
+// and prints a throughput report. A per-request answer must be
+// bit-identical to the exporter's; a lane-packed one carries the same
+// answer in different ciphertext bytes and is only counted here (the
+// decrypted lane-packed differential lives in the test suite). Any
+// failed request fails the run.
+func driveKernel(cat *porcupine.Catalog, kernel string, iters int) error {
+	iters = max(iters, 1)
+	e := cat.Entry(kernel)
+	if e == nil {
+		return fmt.Errorf("registry carries no kernel %q (kernels: %s)", kernel, strings.Join(cat.Kernels(), ", "))
 	}
-	if workers < 1 {
-		workers = 1
+	if e.Sample == nil {
+		return fmt.Errorf("kernel %q carries no self-test sample to run", kernel)
 	}
-	_, ctx, pl, sample, ref, err := buildServing(kernel, preset, seed, opts)
-	if err != nil {
-		return err
+	cfg := cat.Sched.Config()
+	lanes := "per-request; not mux-eligible"
+	if e.Mux != nil {
+		lanes = fmt.Sprintf("lane-packing up to %d per evaluation", e.Mux.Lanes)
 	}
-
-	// Reference run + plaintext check on one warm session.
-	warm := ctx.NewSession()
-	out, err := warm.Run(pl, sample.CtIn, sample.PtIn)
-	if err != nil {
-		return err
-	}
-	if got := ctx.DecryptVec(out, ref.spec.VecLen); !ref.spec.Matches(got, ref.ex) {
-		return fmt.Errorf("BFV output disagrees with the plaintext reference")
-	}
-	refOut := ctx.Params.CopyCiphertext(out)
-	noise := ctx.NoiseBudget(out)
-
-	if ringWorkers > 1 {
-		fmt.Printf("serving %d requests across %d sessions x %d ring workers ...\n", iters, workers, ringWorkers)
-	} else {
-		fmt.Printf("serving %d requests across %d sessions ...\n", iters, workers)
-	}
-	sched := porcupine.NewScheduler(ctx, porcupine.ServeConfig{Sessions: workers, RingWorkers: ringWorkers})
+	fmt.Printf("running %s: %d requests across %d sessions x %d ring workers (%s) ...\n",
+		kernel, iters, cfg.Sessions, max(cfg.RingWorkers, 1), lanes)
 	start := time.Now()
 	var wg sync.WaitGroup
 	fails := &failTally{}
-	for w := 0; w < workers; w++ {
-		n := iters / workers
-		if w < iters%workers {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
+	var muxed atomic.Int64
+	for i := 0; i < iters; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := 0; i < n; i++ {
-				res := sched.Do(porcupine.ServeRequest{Plan: pl, CtIn: sample.CtIn, PtIn: sample.PtIn})
-				switch {
-				case res.Err != nil:
-					fails.add(res.Err)
-				case !ctx.Params.CiphertextEqual(res.Out, refOut):
-					fails.add(fmt.Errorf("response not bit-identical to the reference execution"))
-				}
+			res := cat.Do(kernel, e.Sample.CtIn, e.Sample.PtIn)
+			switch {
+			case res.Err != nil:
+				fails.add(res.Err)
+			case res.Lanes >= 2:
+				muxed.Add(1)
+			case !cat.Ctx.Params.CiphertextEqual(res.Out, e.Expected):
+				fails.add(fmt.Errorf("response not bit-identical to the exporter's"))
 			}
 		}()
 	}
 	wg.Wait()
 	wall := time.Since(start)
-	sched.Close()
-	st := sched.Stats()
-
-	fmt.Printf("%d runs in %v — %.1f runs/sec (%d sessions), latency avg %v max %v, avg batch %.1f, peak queue %d, noise budget %.0f bits\n",
-		iters, wall.Round(time.Millisecond), float64(iters)/wall.Seconds(), workers,
+	st := cat.Sched.Stats()
+	fmt.Printf("%d runs in %v — %.1f runs/sec (%d sessions), latency avg %v max %v, avg batch %.1f, peak queue %d, %d lane-packed across %d mux groups\n",
+		iters, wall.Round(time.Millisecond), float64(iters)/wall.Seconds(), cfg.Sessions,
 		st.AvgLatency.Round(time.Microsecond), st.MaxLatency.Round(time.Microsecond),
-		st.AvgBatch, st.MaxQueueDepth, noise)
+		st.AvgBatch, st.MaxQueueDepth, muxed.Load(), st.MuxGroups)
 	if n, first := fails.snapshot(); n > 0 {
-		return fmt.Errorf("%d of %d requests failed verification (first: %v)", n, iters, first)
+		return fmt.Errorf("%d of %d requests failed (first: %v)", n, iters, first)
 	}
-	fmt.Println("ok: every response bit-identical to the reference")
+	fmt.Println("ok: every per-request response bit-identical to the exporter's")
 	return nil
 }
 
@@ -721,106 +724,14 @@ func (f *failTally) snapshot() (int, error) {
 	return f.n, f.first
 }
 
-// runExport compiles a kernel and writes its serving artifact (and
-// optionally the wire-encoded self-test request).
-func runExport(kernel, preset, planPath, reqPath string, seed int64, opts porcupine.Options) error {
-	_, ctx, pl, sample, _, err := buildServing(kernel, preset, seed, opts)
-	if err != nil {
-		return err
-	}
-	b, err := porcupine.ExportBundle(ctx, kernel, pl, sample)
-	if err != nil {
-		return err
-	}
-	if err := b.WriteFile(planPath); err != nil {
-		return err
-	}
-	fi, err := os.Stat(planPath)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("exported %s: %d bytes, fingerprint %s (plan + relin + %d Galois keys + self-test sample)\n",
-		planPath, fi.Size(), ctx.Params.FingerprintHex(), len(pl.Rotations))
-	if reqPath != "" {
-		data, err := porcupine.EncodeWireRequest(ctx.Params, sample)
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(reqPath, data, 0o644); err != nil {
-			return err
-		}
-		fmt.Printf("exported %s: %d bytes (wire request for POST /run)\n", reqPath, len(data))
-	}
-	return nil
-}
-
-// runLoadCheck loads an artifact in this (fresh) process, executes the
-// embedded sample iters times across workers sessions, and verifies
-// every output bit-identical to the exporter's — the cross-process
-// differential check of the wire format.
-func runLoadCheck(path string, iters, workers, ringWorkers int) error {
-	if iters < 1 {
-		iters = 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	b, err := porcupine.ReadBundleFile(path)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("loaded %s: kernel %s (preset %s), fingerprint %s, %d steps over %d buffers\n",
-		path, b.Name, b.Preset, b.Params.FingerprintHex(), b.Plan.InstructionCount(), b.Plan.NumRegs)
-	_, sched, err := porcupine.LoadBundle(b, porcupine.ServeConfig{Sessions: workers, RingWorkers: ringWorkers})
-	if err != nil {
-		return err
-	}
-	defer sched.Close()
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	fails := &failTally{}
-	for w := 0; w < workers; w++ {
-		n := iters / workers
-		if w < iters%workers {
-			n++
-		}
-		if n == 0 {
-			continue
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < n; i++ {
-				ok, err := porcupine.BundleSelfTest(sched, b)
-				switch {
-				case err != nil:
-					fails.add(err)
-				case !ok:
-					fails.add(fmt.Errorf("output not bit-identical to the exporter's"))
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	st := sched.Stats()
-	if n, first := fails.snapshot(); n > 0 {
-		return fmt.Errorf("%d of %d cross-process runs failed (first: %v)", n, iters, first)
-	}
-	fmt.Printf("ok: %d cross-process runs bit-identical in %v — %.1f runs/sec (%d sessions), latency avg %v, avg batch %.1f\n",
-		iters, wall.Round(time.Millisecond), float64(iters)/wall.Seconds(), workers,
-		st.AvgLatency.Round(time.Microsecond), st.AvgBatch)
-	return nil
-}
-
 // runExportRegistry compiles the kernel suite (or the -kernels
 // subset), builds ONE shared serving context whose Galois keys also
 // cover every eligible kernel's mux lanes, and writes the wire
 // registry artifact: manifest of named plans, one key-material
-// section, per-kernel self-test samples. reqDir, when set, receives
-// each kernel's wire-encoded sample request as <kernel>.preq — the
-// bodies to POST at /run/{kernel}.
+// section, per-kernel self-test samples. preset "" picks the largest
+// preset any listed kernel needs. reqDir, when set, receives each
+// kernel's wire-encoded sample request as <kernel>.preq — the bodies
+// to POST at /run/{kernel}.
 func runExportRegistry(subset, preset, path, reqDir string, seed int64, opts porcupine.Options) error {
 	names := splitKernels(subset)
 	if len(names) == 0 {
@@ -835,29 +746,17 @@ func runExportRegistry(subset, preset, path, reqDir string, seed int64, opts por
 		}
 		lowereds = append(lowereds, c.Lowered)
 	}
+	if preset == "" {
+		preset = porcupine.PresetFor(lowereds...)
+	}
 	fmt.Printf("building shared serving context (preset %s, %d kernels) ...\n", preset, len(names))
 	ctx, plans, err := porcupine.NewMuxServingContext(preset, 0, lowereds...)
 	if err != nil {
 		return err
 	}
-	rng := rand.New(rand.NewSource(seed))
-	samples := make([]*porcupine.WireRequest, len(names))
-	for i, name := range names {
-		spec := porcupine.KernelSpec(name)
-		assign := make([]uint64, spec.NumVars)
-		for j := range assign {
-			assign[j] = rng.Uint64() % 64
-		}
-		ex := spec.NewExample(assign)
-		s := &porcupine.WireRequest{PtIn: ex.PtIn}
-		for _, v := range ex.CtIn {
-			ct, err := ctx.EncryptVec(v)
-			if err != nil {
-				return err
-			}
-			s.CtIn = append(s.CtIn, ct)
-		}
-		samples[i] = s
+	samples, _, err := encryptSamples(ctx, names, seed)
+	if err != nil {
+		return err
 	}
 	reg, err := porcupine.ExportRegistry(ctx, names, plans, samples)
 	if err != nil {
@@ -902,28 +801,11 @@ func runExportRegistry(subset, preset, path, reqDir string, seed int64, opts por
 	return nil
 }
 
-// runLoadRegistryCheck loads a registry in this (fresh) process and
-// runs every kernel's embedded sample iters times, requiring each
-// output bit-identical to the exporter's — the multi-kernel
+// checkCatalog runs every kernel's embedded sample iters times,
+// requiring each output bit-identical to the exporter's — the
 // cross-process differential check.
-func runLoadRegistryCheck(path string, iters, workers, ringWorkers int) error {
-	if iters < 1 {
-		iters = 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	reg, err := porcupine.ReadRegistryFile(path)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("loaded %s: %d kernels (preset %s), fingerprint %s\n",
-		path, len(reg.Entries), reg.Preset, reg.Params.FingerprintHex())
-	cat, err := porcupine.LoadRegistry(reg, porcupine.ServeConfig{Sessions: workers, RingWorkers: ringWorkers})
-	if err != nil {
-		return err
-	}
-	defer cat.Close()
+func checkCatalog(cat *porcupine.Catalog, iters int) error {
+	iters = max(iters, 1)
 	start := time.Now()
 	for _, name := range cat.Kernels() {
 		for i := 0; i < iters; i++ {
@@ -941,155 +823,14 @@ func runLoadRegistryCheck(path string, iters, workers, ringWorkers int) error {
 	return nil
 }
 
-// runRegistryRun pushes iters copies of one kernel's embedded sample
-// through the catalog scheduler. Same-kernel bursts lane-pack when the
-// manifest carries a mux geometry; per-request responses are checked
-// bit-identical to the exporter's expectation (lane-packed ones carry
-// the same answer in slots [0, VecLen) but different ciphertext bytes
-// — the decrypted differential lives in the test suite).
-func runRegistryRun(path, kernel string, iters, workers, ringWorkers int) error {
-	if iters < 1 {
-		iters = 1
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	reg, err := porcupine.ReadRegistryFile(path)
-	if err != nil {
-		return err
-	}
-	cat, err := porcupine.LoadRegistry(reg, porcupine.ServeConfig{Sessions: workers, RingWorkers: ringWorkers})
-	if err != nil {
-		return err
-	}
-	defer cat.Close()
-	e := cat.Entry(kernel)
-	if e == nil {
-		return fmt.Errorf("registry %s carries no kernel %q (kernels: %s)",
-			path, kernel, strings.Join(cat.Kernels(), ", "))
-	}
-	if e.Sample == nil {
-		return fmt.Errorf("kernel %q carries no self-test sample to run", kernel)
-	}
-	if e.Mux != nil {
-		fmt.Printf("running %s: %d requests across %d sessions (lane-packing up to %d per evaluation) ...\n",
-			kernel, iters, workers, e.Mux.Lanes)
-	} else {
-		fmt.Printf("running %s: %d requests across %d sessions (per-request; not mux-eligible) ...\n",
-			kernel, iters, workers)
-	}
-	start := time.Now()
-	var wg sync.WaitGroup
-	fails := &failTally{}
-	var muxed atomic.Int64
-	for i := 0; i < iters; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			res := cat.Do(kernel, e.Sample.CtIn, e.Sample.PtIn)
-			switch {
-			case res.Err != nil:
-				fails.add(res.Err)
-			case res.Lanes >= 2:
-				muxed.Add(1)
-			case !reg.Params.CiphertextEqual(res.Out, e.Expected):
-				fails.add(fmt.Errorf("response not bit-identical to the exporter's"))
-			}
-		}()
-	}
-	wg.Wait()
-	wall := time.Since(start)
-	st := cat.Sched.Stats()
-	if n, first := fails.snapshot(); n > 0 {
-		return fmt.Errorf("%d of %d requests failed (first: %v)", n, iters, first)
-	}
-	fmt.Printf("%d runs in %v — %.1f runs/sec (%d sessions), %d lane-packed across %d mux groups, avg batch %.1f\n",
-		iters, wall.Round(time.Millisecond), float64(iters)/wall.Seconds(), workers,
-		muxed.Load(), st.MuxGroups, st.AvgBatch)
-	return nil
-}
-
-// runServeRegistryHTTP hosts every kernel of a registry from one
-// process.
-func runServeRegistryHTTP(addr, path string, workers, ringWorkers int) error {
-	if workers < 1 {
-		workers = 1
-	}
-	reg, err := porcupine.ReadRegistryFile(path)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("loaded %s: %d kernels (preset %s), fingerprint %s\n",
-		path, len(reg.Entries), reg.Preset, reg.Params.FingerprintHex())
-	cat, err := porcupine.LoadRegistry(reg, porcupine.ServeConfig{Sessions: workers, RingWorkers: ringWorkers})
-	if err != nil {
-		return err
-	}
-	defer cat.Close()
-	srv := &http.Server{Addr: addr, Handler: porcupine.NewRegistryFront(cat, reg.Preset)}
+// serveHTTP hosts every kernel of the catalog from this process until
+// SIGINT or SIGTERM, then drains and shuts down.
+func serveHTTP(addr string, cat *porcupine.Catalog, preset string) error {
+	srv := &http.Server{Addr: addr, Handler: porcupine.NewRegistryFront(cat, preset)}
 	errCh := make(chan error, 1)
 	go func() {
 		fmt.Printf("serving %d kernels on http://%s (endpoints: /healthz /kernels /stats /selftest/{kernel} /run/{kernel}; %d sessions)\n",
-			len(cat.Kernels()), addr, workers)
-		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-			errCh <- err
-			return
-		}
-		errCh <- nil
-	}()
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	select {
-	case err := <-errCh:
-		return err
-	case s := <-sig:
-		fmt.Printf("\n%v: draining and shutting down ...\n", s)
-		shCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		if err := srv.Shutdown(shCtx); err != nil {
-			return err
-		}
-		return <-errCh
-	}
-}
-
-// runServeHTTP serves a kernel over HTTP, from an in-process compile
-// (-kernel) or from an exported artifact alone (-load-plan).
-func runServeHTTP(addr, kernel, loadPath, preset string, workers, ringWorkers int, seed int64, opts porcupine.Options) error {
-	if workers < 1 {
-		workers = 1
-	}
-	var (
-		b     *porcupine.Bundle
-		sched *porcupine.Scheduler
-	)
-	if loadPath != "" {
-		var err error
-		if b, err = porcupine.ReadBundleFile(loadPath); err != nil {
-			return err
-		}
-		fmt.Printf("loaded %s: kernel %s (preset %s), fingerprint %s\n",
-			loadPath, b.Name, b.Preset, b.Params.FingerprintHex())
-		if _, sched, err = porcupine.LoadBundle(b, porcupine.ServeConfig{Sessions: workers, RingWorkers: ringWorkers}); err != nil {
-			return err
-		}
-	} else {
-		_, ctx, pl, sample, _, err := buildServing(kernel, preset, seed, opts)
-		if err != nil {
-			return err
-		}
-		if b, err = porcupine.ExportBundle(ctx, kernel, pl, sample); err != nil {
-			return err
-		}
-		sched = porcupine.NewScheduler(ctx, porcupine.ServeConfig{Sessions: workers, RingWorkers: ringWorkers})
-	}
-	defer sched.Close()
-
-	srv := &http.Server{Addr: addr, Handler: porcupine.NewHTTPFront(sched, b)}
-	errCh := make(chan error, 1)
-	go func() {
-		fmt.Printf("serving %s on http://%s (endpoints: /healthz /plan /stats /selftest /run; %d sessions)\n",
-			b.Name, addr, workers)
+			len(cat.Kernels()), addr, cat.Sched.Config().Sessions)
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			errCh <- err
 			return

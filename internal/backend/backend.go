@@ -131,15 +131,28 @@ func NewSealedContext(params *bfv.Parameters, rlk *bfv.RelinearizationKey, gks *
 }
 
 // EvalKeys returns the public evaluation keys (relinearization +
-// Galois) the context executes with — the key material a wire bundle
-// exports. The secret key is never exposed.
+// Galois) the context executes with — the key material a wire
+// registry exports. The secret key is never exposed.
 func (c *Context) EvalKeys() (*bfv.RelinearizationKey, *bfv.GaloisKeys) {
 	return c.rlk, c.gks
 }
 
 // CanDecrypt reports whether the context holds the secret key (false
-// for sealed contexts built from a wire bundle).
+// for sealed contexts built from a wire registry).
 func (c *Context) CanDecrypt() bool { return c.Dec != nil }
+
+// PresetFor names the parameter preset deep enough for every given
+// program: PN8192 when any multiplicative depth exceeds 2, else PN4096,
+// the smaller 128-bit-secure preset, whose noise budget runs out
+// beyond depth 2.
+func PresetFor(programs ...*quill.Lowered) string {
+	for _, l := range programs {
+		if l.MultDepth() > 2 {
+			return "PN8192"
+		}
+	}
+	return "PN4096"
+}
 
 // NewServingContext compiles execution plans for the given programs
 // and builds a context holding exactly the Galois keys those plans

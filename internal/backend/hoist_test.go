@@ -70,11 +70,7 @@ func TestHoistedVsUnhoistedKernels(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			preset := "PN4096"
-			if l.MultDepth() > 2 {
-				preset = "PN8192"
-			}
-			rt, err := NewTestRuntime(preset, 7, l)
+			rt, err := NewTestRuntime(PresetFor(l), 7, l)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -2,7 +2,6 @@ package bfv
 
 import (
 	"fmt"
-	"math/big"
 
 	"porcupine/internal/ring"
 )
@@ -25,13 +24,11 @@ import (
 // lift (LiftInto: each multiplicand lifted and forward-transformed
 // once) and multiply (MulLiftedInto), so a square lifts one operand
 // and a plan lifts a multiplicand once however many products read it.
-// The textbook big.Int path is retained behind SetBigIntReference for
-// differential testing.
+// The tests hold every product path to a textbook big.Int reference.
 type Evaluator struct {
-	params    *Parameters
-	rlk       *RelinearizationKey
-	gks       *GaloisKeys
-	useBigRef bool
+	params *Parameters
+	rlk    *RelinearizationKey
+	gks    *GaloisKeys
 }
 
 // NewEvaluator builds an evaluator. rlk and gks may be nil when
@@ -39,12 +36,6 @@ type Evaluator struct {
 func NewEvaluator(params *Parameters, rlk *RelinearizationKey, gks *GaloisKeys) *Evaluator {
 	return &Evaluator{params: params, rlk: rlk, gks: gks}
 }
-
-// SetBigIntReference toggles the retained big.Int CRT reference
-// implementation of Mul. It exists so tests can prove the pure-RNS
-// path bit-identical to the textbook computation; production code
-// should leave it off.
-func (ev *Evaluator) SetBigIntReference(on bool) { ev.useBigRef = on }
 
 func (ev *Evaluator) checkDegree(op string, ct *Ciphertext, max int) error {
 	if ct.Degree() > max {
@@ -268,9 +259,6 @@ func (ev *Evaluator) MulInto(out *Ciphertext, a, b *Ciphertext) error {
 	if err := ev.checkDegree("Mul", b, 1); err != nil {
 		return err
 	}
-	if ev.useBigRef {
-		return ev.mulBigInto(out, a, b)
-	}
 	la := ev.getLifted()
 	ev.lift(&la, a)
 	lb := &la
@@ -339,9 +327,7 @@ func (ev *Evaluator) lift(l *Lifted, ct *Ciphertext) {
 // rounding rescale back to R_Q (degree 2). a and b are only read. When
 // a == b the square takes three pointwise products instead of four —
 // e1 = 2·a0a1 — which is bit-identical to the general form, because
-// the doubled residue equals a0a1 + a1a0 mod each prime. The big.Int
-// reference (SetBigIntReference) does not apply: the lifts already
-// fixed the representation.
+// the doubled residue equals a0a1 + a1a0 mod each prime.
 func (ev *Evaluator) MulLiftedInto(out *Ciphertext, a, b *Lifted) {
 	rx := ev.params.ringExt
 	be := ev.params.extender
@@ -373,63 +359,6 @@ func (ev *Evaluator) MulLiftedInto(out *Ciphertext, a, b *Lifted) {
 	rx.PutPoly(e0)
 	rx.PutPoly(e1)
 	rx.PutPoly(e2)
-}
-
-// mulBigInto is the textbook tensor product with per-coefficient
-// big.Int CRT reconstruction. It is the reference the pure-RNS path is
-// differentially tested against; see SetBigIntReference.
-func (ev *Evaluator) mulBigInto(out *Ciphertext, a, b *Ciphertext) error {
-	rq := ev.params.ringQ
-	rx := ev.params.ringExt
-
-	// Lift the four input polynomials into the extended basis using
-	// centered representatives.
-	lift := func(p *ring.Poly) *ring.Poly {
-		out := rx.NewPoly()
-		var x big.Int
-		for j := 0; j < ev.params.N; j++ {
-			rq.CoeffBigCentered(&x, p, j)
-			rx.SetCoeffBig(out, j, &x)
-		}
-		return out
-	}
-	a0, a1 := lift(a.Value[0]), lift(a.Value[1])
-	b0, b1 := lift(b.Value[0]), lift(b.Value[1])
-	rx.NTT(a0)
-	rx.NTT(a1)
-	rx.NTT(b0)
-	rx.NTT(b1)
-
-	e0, e1, e2 := rx.NewPoly(), rx.NewPoly(), rx.NewPoly()
-	rx.MulCoeffs(e0, a0, b0)
-	rx.MulCoeffs(e1, a0, b1)
-	rx.MulCoeffsAndAdd(e1, a1, b0)
-	rx.MulCoeffs(e2, a1, b1)
-	rx.INTT(e0)
-	rx.INTT(e1)
-	rx.INTT(e2)
-
-	// Scale each coefficient by t/Q with rounding, landing back in R_Q.
-	ev.resize(out, 2)
-	t := new(big.Int).SetUint64(ev.params.T)
-	q := ev.params.q
-	halfQ := new(big.Int).Rsh(q, 1)
-	var x, num big.Int
-	for i, e := range []*ring.Poly{e0, e1, e2} {
-		dst := out.Value[i]
-		for j := 0; j < ev.params.N; j++ {
-			rx.CoeffBigCentered(&x, e, j)
-			num.Mul(t, &x)
-			if num.Sign() >= 0 {
-				num.Add(&num, halfQ)
-			} else {
-				num.Sub(&num, halfQ)
-			}
-			num.Quo(&num, q)
-			rq.SetCoeffBig(dst, j, &num)
-		}
-	}
-	return nil
 }
 
 // Decomposition holds the hoisted key-switching state of one

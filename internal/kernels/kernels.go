@@ -288,7 +288,7 @@ func applyStencil(img []*symbolic.Poly, filter [3][3]int64) []*symbolic.Poly {
 }
 
 // HarrisK16 documents the integerized Harris response used here:
-// R = 16·det(M) − trace(M)², i.e. k = 1/16 (DESIGN.md substitution 5).
+// R = 16·det(M) − trace(M)², i.e. k = 1/16.
 const HarrisK16 = 16
 
 // Harris computes the integerized Harris corner response over the

@@ -2,64 +2,35 @@ package serve
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
-	"math/rand"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"testing"
 
-	"porcupine/internal/backend"
-	"porcupine/internal/bfv"
-	"porcupine/internal/quill"
 	"porcupine/internal/wire"
 )
 
-func newFrontFixture(t *testing.T) (*wire.Bundle, *Scheduler, *httptest.Server) {
+// loadedRegistry encodes the mixed-kernel registry fixture, decodes it
+// from its bytes and loads it into a sealed catalog, as a fresh serving
+// process would.
+func loadedRegistry(t *testing.T, cfg Config) (*wire.Registry, *Catalog) {
 	t.Helper()
-	l := &quill.Lowered{
-		VecLen: 1024, NumCtInputs: 1, NumPtInputs: 0,
-		Instrs: []quill.LInstr{
-			{Op: quill.OpRotCt, Dst: 1, A: 0, Rot: 2},
-			{Op: quill.OpAddCtCt, Dst: 2, A: 1, B: 0},
-			{Op: quill.OpMulCtCt, Dst: 3, A: 2, B: 0},
-			{Op: quill.OpRelin, Dst: 4, A: 3},
-		},
-		Output: 4,
-	}
-	ctx, plans, err := backend.NewTestServingContext("PN2048", 9, l)
+	data, err := newRegFixture(t).reg.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(4))
-	v := make(quill.Vec, l.VecLen)
-	for j := range v {
-		v[j] = rng.Uint64() % 64
-	}
-	ct, err := ctx.EncryptVec(v)
+	reg, err := wire.DecodeRegistry(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sample := &wire.Request{CtIn: []*bfv.Ciphertext{ct}}
-	b, err := Export(ctx, "http-test", plans[0], sample)
+	cat, err := LoadRegistry(reg, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Serve from a real decode round trip, like a fresh process would.
-	data, err := b.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := wire.DecodeBundle(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, sched, err := Load(loaded, Config{Sessions: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := httptest.NewServer(NewFront(sched, loaded))
-	t.Cleanup(func() { srv.Close(); sched.Close() })
-	return loaded, sched, srv
+	t.Cleanup(cat.Close)
+	return reg, cat
 }
 
 func getJSON(t *testing.T, url string, wantStatus int) map[string]any {
@@ -79,56 +50,90 @@ func getJSON(t *testing.T, url string, wantStatus int) map[string]any {
 	return m
 }
 
-func TestFrontEndpoints(t *testing.T) {
-	b, _, srv := newFrontFixture(t)
+func post(t *testing.T, url string, body []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	out, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, out
+}
 
-	if m := getJSON(t, srv.URL+"/healthz", http.StatusOK); m["ok"] != true || m["kernel"] != "http-test" {
+// TestFrontEndpoints drives every endpoint of the HTTP front over a
+// registry loaded from its bytes: identity and manifest, per-kernel
+// self-test and run bit-identity with the exporter, scheduler stats,
+// and the refusals — garbage (400), a request pinned to other
+// parameters (409), and an unknown kernel on both kernel routes (404).
+func TestFrontEndpoints(t *testing.T) {
+	reg, cat := loadedRegistry(t, Config{Sessions: 2})
+	srv := httptest.NewServer(NewRegistryFront(cat, reg.Preset))
+	defer srv.Close()
+
+	if m := getJSON(t, srv.URL+"/healthz", http.StatusOK); m["ok"] != true || m["preset"] != reg.Preset {
 		t.Errorf("healthz: %v", m)
 	}
-	if m := getJSON(t, srv.URL+"/plan", http.StatusOK); m["fingerprint"] != b.Params.FingerprintHex() {
-		t.Errorf("plan: fingerprint %v, want %v", m["fingerprint"], b.Params.FingerprintHex())
+	m := getJSON(t, srv.URL+"/kernels", http.StatusOK)
+	if m["fingerprint"] != reg.Params.FingerprintHex() {
+		t.Errorf("kernels: fingerprint %v, want %v", m["fingerprint"], reg.Params.FingerprintHex())
 	}
-	if m := getJSON(t, srv.URL+"/selftest", http.StatusOK); m["bit_identical"] != true {
-		t.Fatalf("selftest: %v", m)
-	}
-
-	// POST /run round trip: wire-encode the sample, expect the
-	// exporter's exact ciphertext back.
-	reqData, err := wire.EncodeRequest(b.Params, b.Sample)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp, err := http.Post(srv.URL+"/run", "application/octet-stream", bytes.NewReader(reqData))
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := new(bytes.Buffer)
-	if _, err := body.ReadFrom(resp.Body); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST /run: status %d: %s", resp.StatusCode, body)
-	}
-	out, err := wire.DecodeResponse(b.Params, body.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !b.Params.CiphertextEqual(out, b.Expected) {
-		t.Fatal("served output is not bit-identical to the exporter's")
+	if ks, _ := m["kernels"].([]any); len(ks) != len(reg.Entries) {
+		t.Errorf("kernels: %d listed, want %d", len(ks), len(reg.Entries))
 	}
 
-	if m := getJSON(t, srv.URL+"/stats", http.StatusOK); m["served"].(float64) < 2 {
-		t.Errorf("stats after selftest+run: %v", m)
+	for _, e := range reg.Entries {
+		if m := getJSON(t, srv.URL+"/selftest/"+e.Name, http.StatusOK); m["bit_identical"] != true || m["kernel"] != e.Name {
+			t.Fatalf("selftest %s: %v", e.Name, m)
+		}
+		// One request alone is never lane-packed, so the served output
+		// must be the exporter's exact ciphertext.
+		reqData, err := wire.EncodeRequest(reg.Params, e.Sample)
+		if err != nil {
+			t.Fatal(err)
+		}
+		code, body := post(t, srv.URL+"/run/"+e.Name, reqData)
+		if code != http.StatusOK {
+			t.Fatalf("POST /run/%s: status %d: %s", e.Name, code, body)
+		}
+		out, err := wire.DecodeResponse(reg.Params, body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reg.Params.CiphertextEqual(out, e.Expected) {
+			t.Fatalf("%s: served output is not bit-identical to the exporter's", e.Name)
+		}
 	}
 
-	// Garbage body → 400, never a panic or a 200.
-	resp, err = http.Post(srv.URL+"/run", "application/octet-stream", bytes.NewReader([]byte("not a wire object")))
+	// Self-tests run on the catalog's private session; only the runs
+	// reach the scheduler's counters.
+	if m := getJSON(t, srv.URL+"/stats", http.StatusOK); m["served"] != float64(len(reg.Entries)) {
+		t.Errorf("stats after %d runs: %v", len(reg.Entries), m)
+	}
+
+	name := reg.Entries[0].Name
+	if code, _ := post(t, srv.URL+"/run/"+name, []byte("not a wire object")); code != http.StatusBadRequest {
+		t.Errorf("garbage POST /run: status %d, want 400", code)
+	}
+	foreign, err := wire.EncodeRequest(reg.Params, reg.Entries[0].Sample)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Errorf("garbage POST /run: status %d, want 400", resp.StatusCode)
+	// The fingerprint leads the payload, right after the 14-byte
+	// envelope header; resigning keeps the checksum valid.
+	foreign[14] ^= 0xFF
+	sum := sha256.Sum256(foreign[:len(foreign)-sha256.Size])
+	copy(foreign[len(foreign)-sha256.Size:], sum[:])
+	if code, body := post(t, srv.URL+"/run/"+name, foreign); code != http.StatusConflict {
+		t.Errorf("foreign-fingerprint POST /run: status %d, want 409: %s", code, body)
+	}
+	if code, _ := post(t, srv.URL+"/run/no-such-kernel", foreign); code != http.StatusNotFound {
+		t.Errorf("POST /run/no-such-kernel: status %d, want 404", code)
+	}
+	if m := getJSON(t, srv.URL+"/selftest/no-such-kernel", http.StatusNotFound); m["ok"] != false {
+		t.Errorf("selftest of an unknown kernel: %v", m)
 	}
 }

@@ -175,7 +175,9 @@ func (c *Catalog) Do(name string, ctIn []*bfv.Ciphertext, ptIn []quill.Vec) Resu
 // SelfTest executes the named kernel's embedded sample and reports
 // whether the output is bit-identical to the exporter's expectation —
 // the cross-process differential check. Runs per-request on a private
-// session (never lane-packed) so the comparison is exact.
+// session (never lane-packed) so the comparison is exact, at the
+// scheduler's step-level parallelism, so a multi-core configuration
+// checks the parallel engine against the exporter's ciphertext.
 func (c *Catalog) SelfTest(name string) (bool, error) {
 	e := c.entries[name]
 	if e == nil {
@@ -188,6 +190,7 @@ func (c *Catalog) SelfTest(name string) (bool, error) {
 	defer c.stMu.Unlock()
 	if c.stSess == nil {
 		c.stSess = c.Ctx.NewSession()
+		c.stSess.SetParallelism(c.Sched.Config().PlanWorkers)
 	}
 	out, err := c.stSess.Run(e.Plan, e.Sample.CtIn, e.Sample.PtIn)
 	if err != nil {

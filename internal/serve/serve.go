@@ -65,13 +65,11 @@ type Config struct {
 	PlanWorkers int
 	// Workers is the total core budget to partition between batch-level
 	// concurrency (Sessions) and intra-request parallelism
-	// (RingWorkers/PlanWorkers) when those fields are unset. The static
-	// split favors batch-level concurrency — independent requests scale
-	// with no serial fraction, while ring parallelism pays per-chunk
-	// overhead — so Sessions defaults to the whole budget; TuneConfig
-	// refines the split with startup measurements when a self-test
-	// sample is available. 0 = no budget, fields take their own
-	// defaults.
+	// (RingWorkers/PlanWorkers) when those fields are unset. The split
+	// is static and favors batch-level concurrency — independent
+	// requests scale with no serial fraction, while ring parallelism
+	// pays per-chunk overhead — so Sessions defaults to the whole
+	// budget. 0 = no budget, fields take their own defaults.
 	Workers int
 }
 

@@ -77,6 +77,32 @@ func newFixture(t *testing.T) *fixture {
 	return f
 }
 
+func TestConfigPartitioning(t *testing.T) {
+	for _, tc := range []struct {
+		in                       Config
+		sessions, ring, planWork int
+	}{
+		// No budget: serial defaults.
+		{Config{}, 1, 0, 0},
+		// Budget with nothing pinned: batch-level gets it all.
+		{Config{Workers: 4}, 4, 0, 0},
+		// Budget with ring share pinned: sessions get the rest.
+		{Config{Workers: 8, RingWorkers: 2}, 4, 2, 2},
+		// Budget with sessions pinned: ring gets the rest.
+		{Config{Workers: 8, Sessions: 2}, 2, 4, 4},
+		// Everything pinned: budget is ignored.
+		{Config{Workers: 8, Sessions: 3, RingWorkers: 2}, 3, 2, 2},
+		// PlanWorkers defaults to RingWorkers, but can diverge.
+		{Config{RingWorkers: 4, PlanWorkers: 2}, 1, 4, 2},
+	} {
+		got := tc.in.withDefaults()
+		if got.Sessions != tc.sessions || got.RingWorkers != tc.ring || got.PlanWorkers != tc.planWork {
+			t.Errorf("%+v: partitioned to Sessions=%d RingWorkers=%d PlanWorkers=%d, want %d/%d/%d",
+				tc.in, got.Sessions, got.RingWorkers, got.PlanWorkers, tc.sessions, tc.ring, tc.planWork)
+		}
+	}
+}
+
 // TestBackpressureAndDrainHoisted drives the scheduler with
 // shared-rotation requests (the session path that keeps decomposition
 // scratch in per-session slots) through a deliberately tiny

@@ -5,13 +5,13 @@ package wire_test
 // the secret key, the lowered program, or this process's memory.
 //
 // The parent test compiles each kernel's plan, runs it in-process (plan
-// path and interpreter path), exports a bundle, then re-executes the
-// test binary as a genuine child process (helper-process pattern). The
-// child loads the bundle through the wire decoder, executes the
-// embedded sample through the batched scheduler, and writes the
-// wire-encoded output; the parent requires all three outputs —
-// interpreter, in-process plan, out-of-process plan — to be
-// bit-identical ciphertexts.
+// path and interpreter path), exports it as a one-entry registry, then
+// re-executes the test binary as a genuine child process
+// (helper-process pattern). The child loads the registry through the
+// wire decoder, executes the embedded sample through the catalog's
+// batched scheduler, and writes the wire-encoded output; the parent
+// requires all three outputs — interpreter, in-process plan,
+// out-of-process plan — to be bit-identical ciphertexts.
 
 import (
 	"fmt"
@@ -30,35 +30,36 @@ import (
 )
 
 const (
-	envBundle = "PORCUPINE_WIRE_CHILD_BUNDLE"
-	envOut    = "PORCUPINE_WIRE_CHILD_OUT"
+	envRegistry = "PORCUPINE_WIRE_CHILD_REGISTRY"
+	envOut      = "PORCUPINE_WIRE_CHILD_OUT"
 )
 
 // TestHelperLoadAndRun is not a test of this process: it is the body
 // of the child process spawned by TestCrossProcessBitIdentity, gated
 // on the env vars the parent sets.
 func TestHelperLoadAndRun(t *testing.T) {
-	bundlePath := os.Getenv(envBundle)
-	if bundlePath == "" {
+	regPath := os.Getenv(envRegistry)
+	if regPath == "" {
 		t.Skip("helper: runs only as a child of TestCrossProcessBitIdentity")
 	}
-	b, err := wire.ReadBundleFile(bundlePath)
+	reg, err := wire.ReadRegistryFile(regPath)
 	if err != nil {
-		t.Fatalf("helper: loading bundle: %v", err)
+		t.Fatalf("helper: loading registry: %v", err)
 	}
-	ctx, sched, err := serve.Load(b, serve.Config{Sessions: 2})
+	cat, err := serve.LoadRegistry(reg, serve.Config{Sessions: 2})
 	if err != nil {
-		t.Fatalf("helper: building sealed context: %v", err)
+		t.Fatalf("helper: building sealed catalog: %v", err)
 	}
-	defer sched.Close()
-	if ctx.CanDecrypt() {
-		t.Fatal("helper: loaded context holds a secret key; bundles must carry only public material")
+	defer cat.Close()
+	if cat.Ctx.CanDecrypt() {
+		t.Fatal("helper: loaded context holds a secret key; registries must carry only public material")
 	}
-	res := sched.Do(serve.Request{Plan: b.Plan, CtIn: b.Sample.CtIn, PtIn: b.Sample.PtIn})
+	e := &reg.Entries[0]
+	res := cat.Do(e.Name, e.Sample.CtIn, e.Sample.PtIn)
 	if res.Err != nil {
 		t.Fatalf("helper: executing plan: %v", res.Err)
 	}
-	data, err := wire.EncodeResponse(b.Params, res.Out)
+	data, err := wire.EncodeResponse(reg.Params, res.Out)
 	if err != nil {
 		t.Fatalf("helper: encoding response: %v", err)
 	}
@@ -68,7 +69,7 @@ func TestHelperLoadAndRun(t *testing.T) {
 }
 
 func TestCrossProcessBitIdentity(t *testing.T) {
-	if os.Getenv(envBundle) != "" {
+	if os.Getenv(envRegistry) != "" {
 		t.Skip("already in the helper process")
 	}
 	exe, err := os.Executable()
@@ -93,15 +94,10 @@ func TestCrossProcessBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			preset := "PN4096"
-			if l.MultDepth() > 2 {
-				preset = "PN8192"
-			}
-			ctx, plans, err := backend.NewTestServingContext(preset, 7, l)
+			ctx, plans, err := backend.NewTestServingContext(backend.PresetFor(l), 7, l)
 			if err != nil {
 				t.Fatal(err)
 			}
-			p := plans[0]
 
 			rng := rand.New(rand.NewSource(3))
 			assign := make([]uint64, spec.NumVars)
@@ -123,26 +119,27 @@ func TestCrossProcessBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatalf("interpreter: %v", err)
 			}
-			// Leg 2: the in-process plan (also becomes the bundle's
-			// embedded expectation inside Export).
-			b, err := serve.Export(ctx, name, p, sample)
+			// Leg 2: the in-process plan (also becomes the registry's
+			// embedded expectation inside ExportRegistry).
+			reg, err := serve.ExportRegistry(ctx, []string{name}, plans, []*wire.Request{sample})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !ctx.Params.CiphertextEqual(interp, b.Expected) {
+			expected := reg.Entries[0].Expected
+			if !ctx.Params.CiphertextEqual(interp, expected) {
 				t.Fatal("in-process plan output differs from the interpreter")
 			}
 
-			bundlePath := filepath.Join(dir, name+".pplan")
+			regPath := filepath.Join(dir, name+".pregistry")
 			outPath := filepath.Join(dir, name+".out")
-			if err := b.WriteFile(bundlePath); err != nil {
+			if err := reg.WriteFile(regPath); err != nil {
 				t.Fatal(err)
 			}
 
 			// Leg 3: a fresh process, fed the artifact alone.
 			cmd := exec.Command(exe, "-test.run", "^TestHelperLoadAndRun$", "-test.count=1")
 			cmd.Env = append(os.Environ(),
-				fmt.Sprintf("%s=%s", envBundle, bundlePath),
+				fmt.Sprintf("%s=%s", envRegistry, regPath),
 				fmt.Sprintf("%s=%s", envOut, outPath),
 			)
 			if out, err := cmd.CombinedOutput(); err != nil {
@@ -156,7 +153,7 @@ func TestCrossProcessBitIdentity(t *testing.T) {
 			if childOut, err = wire.DecodeResponse(ctx.Params, respData); err != nil {
 				t.Fatal(err)
 			}
-			if !ctx.Params.CiphertextEqual(childOut, b.Expected) {
+			if !ctx.Params.CiphertextEqual(childOut, expected) {
 				t.Fatal("cross-process plan output is not bit-identical to the in-process plan")
 			}
 

@@ -33,26 +33,47 @@ func fanOutProgram() *quill.Lowered {
 	}
 }
 
-// roundTripPlan exports p in a bundle, encodes and decodes it, and
-// returns the decoded plan.
-func roundTripPlan(t *testing.T, ctx *backend.Context, p *plan.ExecutionPlan) *plan.ExecutionPlan {
+// exportPlan packages p as a one-entry registry without a sample.
+func exportPlan(t *testing.T, ctx *backend.Context, p *plan.ExecutionPlan) *wire.Registry {
 	t.Helper()
-	b, err := serve.Export(ctx, "plan-test", p, nil)
+	reg, err := serve.ExportRegistry(ctx, []string{"plan-test"}, []*plan.ExecutionPlan{p}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := b.Encode()
+	return reg
+}
+
+// withPlan encodes base with its one entry's plan replaced by p: the
+// checksum is then valid and only semantic validation stands between
+// the bytes and a session.
+func withPlan(t *testing.T, base *wire.Registry, p *plan.ExecutionPlan) []byte {
+	t.Helper()
+	reg := *base
+	reg.Entries = []wire.RegistryEntry{base.Entries[0]}
+	reg.Entries[0].Plan = p
+	data, err := reg.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// roundTripPlan exports p in a one-entry registry, encodes and decodes
+// it, and returns the decoded plan.
+func roundTripPlan(t *testing.T, ctx *backend.Context, p *plan.ExecutionPlan) *plan.ExecutionPlan {
+	t.Helper()
+	data, err := exportPlan(t, ctx, p).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if data[4] != wire.Version {
 		t.Fatalf("artifact carries version byte %d, want %d", data[4], wire.Version)
 	}
-	got, err := wire.DecodeBundle(data)
+	got, err := wire.DecodeRegistry(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return got.Plan
+	return got.Entries[0].Plan
 }
 
 // TestDomainPlanRoundTrip checks the per-register domain bytes: the round
@@ -86,10 +107,7 @@ func TestDomainCorruptionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := serve.Export(ctx, "plan-test", plans[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := exportPlan(t, ctx, plans[0])
 	sharedIdx := -1
 	for i := range plans[0].Steps {
 		if plans[0].Steps[i].Op == plan.OpSharedRot {
@@ -102,20 +120,13 @@ func TestDomainCorruptionRejected(t *testing.T) {
 	corrupt := func(name string, mutate func(p *plan.ExecutionPlan)) {
 		t.Run(name, func(t *testing.T) {
 			// Deep-copy the plan's mutable slices (domain tags included),
-			// corrupt, re-encode: the checksum is then valid and only
-			// semantic validation stands between the bytes and a session.
+			// corrupt, re-encode.
 			p2 := *plans[0]
 			p2.RegDomain = append([]plan.Domain(nil), plans[0].RegDomain...)
 			p2.Steps = append([]plan.Step(nil), plans[0].Steps...)
 			p2.Rotations = append([]int(nil), plans[0].Rotations...)
 			mutate(&p2)
-			b2 := *base
-			b2.Plan = &p2
-			data, err := b2.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := wire.DecodeBundle(data); !errors.Is(err, wire.ErrInvalid) {
+			if _, err := wire.DecodeRegistry(withPlan(t, base, &p2)); !errors.Is(err, wire.ErrInvalid) {
 				t.Fatalf("corrupted domain decoded: err = %v, want ErrInvalid", err)
 			}
 		})
@@ -198,10 +209,7 @@ func TestSharedCorruptionRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := serve.Export(ctx, "plan-test", plans[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	base := exportPlan(t, ctx, plans[0])
 	firstShared, lastShared := -1, -1
 	for i := range plans[0].Steps {
 		if plans[0].Steps[i].Op == plan.OpSharedRot {
@@ -223,13 +231,7 @@ func TestSharedCorruptionRejected(t *testing.T) {
 			}
 			p2.Rotations = append([]int(nil), plans[0].Rotations...)
 			mutate(&p2)
-			b2 := *base
-			b2.Plan = &p2
-			data, err := b2.Encode()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := wire.DecodeBundle(data); !errors.Is(err, wire.ErrInvalid) {
+			if _, err := wire.DecodeRegistry(withPlan(t, base, &p2)); !errors.Is(err, wire.ErrInvalid) {
 				t.Fatalf("corrupted shared list decoded: err = %v, want ErrInvalid", err)
 			}
 		})
@@ -277,7 +279,7 @@ func TestSharedCorruptionRejected(t *testing.T) {
 
 // TestSharedDecodeNeverPanics sweeps random corruptions — truncation,
 // raw bit flips, and checksum-repaired bit flips that reach semantic
-// validation — through a bundle carrying shared member lists; any
+// validation — through a registry carrying shared member lists; any
 // outcome but a panic is acceptable.
 func TestSharedDecodeNeverPanics(t *testing.T) {
 	l := sharedProgram()
@@ -285,11 +287,7 @@ func TestSharedDecodeNeverPanics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := serve.Export(ctx, "plan-test", plans[0], nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := b.Encode()
+	data, err := exportPlan(t, ctx, plans[0]).Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,6 +305,6 @@ func TestSharedDecodeNeverPanics(t *testing.T) {
 				resign(d)
 			}
 		}
-		wire.DecodeBundle(d)
+		wire.DecodeRegistry(d)
 	}
 }

@@ -1,14 +1,16 @@
-// Registry: the multi-kernel serving artifact. One envelope carries a
-// manifest of named plans compiled for ONE parameter set,
-// with a single shared key-material section (relinearization key plus
-// the union Galois set every plan — and every mux lane geometry —
-// needs), so a serving process hosts the whole kernel suite from one
-// shared backend context instead of one process per bundle.
+// Registry: the serving artifact. One envelope carries a manifest of
+// named plans compiled for ONE parameter set, with a single shared
+// key-material section (relinearization key plus the union Galois set
+// every plan — and every mux lane geometry — needs), so a serving
+// process hosts any number of kernels, one included, from one shared
+// backend context.
 
 package wire
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 
 	"porcupine/internal/bfv"
 	"porcupine/internal/plan"
@@ -28,8 +30,8 @@ type RegistryEntry struct {
 	MuxStride int
 	MuxLanes  int
 
-	// Sample/Expected form the per-kernel embedded differential check,
-	// exactly like Bundle's: running Plan on Sample must reproduce
+	// Sample/Expected form the per-kernel embedded cross-process
+	// differential check: running Plan on Sample must reproduce
 	// Expected bit for bit. Both may be nil.
 	Sample   *Request
 	Expected *bfv.Ciphertext
@@ -185,7 +187,36 @@ func DecodeRegistry(data []byte) (*Registry, error) {
 }
 
 // WriteFile atomically writes the encoded registry to path.
-func (reg *Registry) WriteFile(path string) error { return writeFile(path, reg.Encode) }
+func (reg *Registry) WriteFile(path string) error {
+	data, err := reg.Encode()
+	if err != nil {
+		return err
+	}
+	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(tmp.Name())
+	if _, err := tmp.Write(data); err != nil {
+		tmp.Close()
+		return err
+	}
+	if err := tmp.Close(); err != nil {
+		return err
+	}
+	return os.Rename(tmp.Name(), path)
+}
 
-// ReadRegistryFile reads and decodes a registry written by WriteFile.
-func ReadRegistryFile(path string) (*Registry, error) { return readFile(path, DecodeRegistry) }
+// ReadRegistryFile reads and decodes a registry written by WriteFile,
+// naming the file in decode errors.
+func ReadRegistryFile(path string) (*Registry, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	reg, err := DecodeRegistry(data)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return reg, nil
+}

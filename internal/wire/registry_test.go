@@ -179,16 +179,12 @@ func TestRegistryRejectsCorruption(t *testing.T) {
 		check(t, func(d []byte) []byte { d[len(d)/2] ^= 0x40; return d }, wire.ErrChecksum)
 	})
 	t.Run("wrong-tag", func(t *testing.T) {
-		// A bundle envelope handed to the registry decoder.
-		b, err := serve.Export(ctx, "k", reg.Entries[0].Plan, nil)
+		// A request envelope handed to the registry decoder.
+		rd, err := wire.EncodeRequest(ctx.Params, reg.Entries[0].Sample)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bd, err := b.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := wire.DecodeRegistry(bd); !errors.Is(err, wire.ErrTag) {
+		if _, err := wire.DecodeRegistry(rd); !errors.Is(err, wire.ErrTag) {
 			t.Fatalf("got %v, want ErrTag", err)
 		}
 	})

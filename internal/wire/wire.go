@@ -1,13 +1,16 @@
 // Package wire is the checksummed binary format that moves compiled
-// serving artifacts between processes: an execution plan together with
-// the exact public key material it declares (the relinearization key
-// and the canonical Galois set), pinned to a parameter fingerprint.
+// serving artifacts between processes. The artifact is a registry: a
+// manifest of named execution plans compiled for one parameter set,
+// with the one key-material section they share (the relinearization
+// key and the canonical Galois set every plan and every slot-
+// multiplexing lane geometry needs), pinned to a parameter
+// fingerprint. A single kernel travels as a registry of one.
 //
 // The deployment model follows the paper's Figure 1 split, extended
-// across processes: one process compiles a kernel, builds keys, and
-// exports a Bundle; any number of serving processes load the bundle
-// and execute the plan bit-identically, without ever holding the
-// secret key (bundles carry only evaluation keys, which are public by
+// across processes: one process compiles the kernels, builds keys, and
+// exports a registry; any number of serving processes load it and
+// execute every plan bit-identically, without ever holding the secret
+// key (registries carry only evaluation keys, which are public by
 // construction). Requests and responses between a client and a serving
 // process use the same envelope with their own tags.
 //
@@ -42,8 +45,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"slices"
 
 	"porcupine/internal/bfv"
@@ -62,11 +63,13 @@ const (
 	MinVersion = Version
 )
 
+// Object tags. The values are part of the v8 encoding and stay
+// pinned; tag 1 belonged to the retired single-plan bundle, which every
+// decoder now refuses with ErrTag.
 const (
-	tagBundle byte = iota + 1
-	tagRequest
-	tagResponse
-	tagRegistry
+	tagRequest  byte = 2
+	tagResponse byte = 3
+	tagRegistry byte = 4
 )
 
 // Typed decode errors (match with errors.Is).
@@ -79,28 +82,6 @@ var (
 	ErrFingerprint = errors.New("wire: parameter fingerprint mismatch")
 	ErrInvalid     = errors.New("wire: invalid object")
 )
-
-// Bundle is the exported serving artifact: one compiled plan, the
-// parameters it was compiled for, the public evaluation keys it
-// declares, and a deterministic self-test sample (inputs encrypted by
-// the exporter plus the exporter's own output ciphertext) that lets a
-// loading process prove bit-identical execution without the secret
-// key.
-type Bundle struct {
-	Name   string // kernel name (reporting)
-	Preset string // parameter preset name (reporting; the binding truth is the fingerprint)
-
-	Params *bfv.Parameters
-	Plan   *plan.ExecutionPlan
-	Relin  *bfv.RelinearizationKey
-	Galois *bfv.GaloisKeys
-
-	// Sample and Expected form the embedded cross-process differential
-	// check: running Plan on Sample must reproduce Expected bit for
-	// bit. Both may be nil (a bundle without a self-test).
-	Sample   *Request
-	Expected *bfv.Ciphertext
-}
 
 // Request is one serving request: the encrypted inputs and the
 // plaintext input vectors of a plan execution.
@@ -333,123 +314,6 @@ func (r *reader) done() error {
 	return nil
 }
 
-// ---- bundle ----
-
-// Encode serializes the bundle. Params, Plan, Relin and Galois are
-// required; Sample/Expected must be both present or both absent.
-func (b *Bundle) Encode() ([]byte, error) {
-	if b.Params == nil || b.Plan == nil || b.Relin == nil || b.Galois == nil {
-		return nil, fmt.Errorf("wire: bundle needs params, plan, relin and galois keys")
-	}
-	if (b.Sample == nil) != (b.Expected == nil) {
-		return nil, fmt.Errorf("wire: self-test sample and expected output must come together")
-	}
-	return encode(b.Params, tagBundle, func(w *writer) error {
-		w.fingerprint()
-		w.str(b.Name)
-		w.str(b.Preset)
-		w.obj(b.Params)
-		if err := encodePlan(w, b.Plan); err != nil {
-			return err
-		}
-		w.obj(b.Relin)
-		w.obj(b.Galois)
-		encodeSample(w, b.Sample, b.Expected)
-		return nil
-	})
-}
-
-// encodeSample writes an optional self-test: a presence byte, then the
-// sample request and the expected output (see decodeSample).
-func encodeSample(w *writer, sample *Request, expected *bfv.Ciphertext) {
-	if sample == nil {
-		w.u8(0)
-		return
-	}
-	w.u8(1)
-	encodeRequestBody(w, sample)
-	w.obj(expected)
-}
-
-// DecodeBundle decodes and fully validates a bundle: envelope
-// integrity, parameter fingerprint, plan well-formedness
-// (plan.Validate), Galois coverage of every declared rotation, and
-// self-test shape.
-func DecodeBundle(data []byte) (*Bundle, error) {
-	r, err := open(data, tagBundle, nil)
-	if err != nil {
-		return nil, err
-	}
-	fp, err := r.fingerprint()
-	if err != nil {
-		return nil, err
-	}
-	b := &Bundle{Name: r.str(), Preset: r.str()}
-	if b.Params, err = r.params(fp); err != nil {
-		return nil, err
-	}
-	if b.Plan, err = decodePlan(r, b.Params); err != nil {
-		return nil, err
-	}
-	if b.Relin, err = section(r, "relinearization key", b.Params.UnmarshalRelinearizationKey); err != nil {
-		return nil, err
-	}
-	if b.Galois, err = section(r, "galois keys", b.Params.UnmarshalGaloisKeys); err != nil {
-		return nil, err
-	}
-	if rot, ok := uncovered(b.Params, b.Galois, b.Plan.Rotations); ok {
-		return nil, fmt.Errorf("%w: plan needs rotation %d but the bundle carries no key for it", ErrInvalid, rot)
-	}
-	if b.Sample, b.Expected, err = decodeSample(r, b.Params, b.Plan); err != nil {
-		return nil, err
-	}
-	if err := r.done(); err != nil {
-		return nil, err
-	}
-	return b, nil
-}
-
-// WriteFile atomically writes the encoded bundle to path.
-func (b *Bundle) WriteFile(path string) error { return writeFile(path, b.Encode) }
-
-// ReadBundleFile reads and decodes a bundle written by WriteFile.
-func ReadBundleFile(path string) (*Bundle, error) { return readFile(path, DecodeBundle) }
-
-// writeFile atomically writes what encode returns to path.
-func writeFile(path string, encode func() ([]byte, error)) error {
-	data, err := encode()
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+"-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
-}
-
-// readFile reads path and decodes it, naming the file in errors.
-func readFile[T any](path string, decode func([]byte) (T, error)) (T, error) {
-	data, err := os.ReadFile(path)
-	if err == nil {
-		var v T
-		if v, err = decode(data); err == nil {
-			return v, nil
-		}
-		err = fmt.Errorf("%s: %w", path, err)
-	}
-	var zero T
-	return zero, err
-}
-
 // ---- plan section ----
 
 func encodePlan(w *writer, p *plan.ExecutionPlan) error {
@@ -659,6 +523,18 @@ func decodeRequestBody(r *reader, params *bfv.Parameters) (*Request, error) {
 		return fail(r.err)
 	}
 	return req, nil
+}
+
+// encodeSample writes an optional self-test: a presence byte, then the
+// sample request and the expected output (see decodeSample).
+func encodeSample(w *writer, sample *Request, expected *bfv.Ciphertext) {
+	if sample == nil {
+		w.u8(0)
+		return
+	}
+	w.u8(1)
+	encodeRequestBody(w, sample)
+	w.obj(expected)
 }
 
 // decodeSample reads encodeSample's optional self-test and checks its

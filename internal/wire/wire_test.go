@@ -36,9 +36,10 @@ func testProgram() *quill.Lowered {
 	}
 }
 
-// exportTestBundle builds a complete bundle (with self-test sample)
-// from a deterministic PN2048 context.
-func exportTestBundle(t *testing.T) (*backend.Context, *wire.Bundle, []byte) {
+// exportOneKernel builds a one-entry registry (with self-test sample)
+// from a deterministic PN2048 context: the artifact a single kernel
+// travels as.
+func exportOneKernel(t *testing.T) (*backend.Context, *wire.Registry, []byte) {
 	t.Helper()
 	l := testProgram()
 	ctx, plans, err := backend.NewTestServingContext("PN2048", 11, l)
@@ -61,30 +62,30 @@ func exportTestBundle(t *testing.T) (*backend.Context, *wire.Bundle, []byte) {
 		}
 		sample.CtIn = append(sample.CtIn, ct)
 	}
-	b, err := serve.Export(ctx, "wire-test", plans[0], sample)
+	reg, err := serve.ExportRegistry(ctx, []string{"wire-test"}, plans, []*wire.Request{sample})
 	if err != nil {
 		t.Fatal(err)
 	}
-	data, err := b.Encode()
+	data, err := reg.Encode()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ctx, b, data
+	return ctx, reg, data
 }
 
-func TestBundleRoundTrip(t *testing.T) {
-	ctx, orig, data := exportTestBundle(t)
-	got, err := wire.DecodeBundle(data)
+func TestOneKernelRegistryRoundTrip(t *testing.T) {
+	ctx, orig, data := exportOneKernel(t)
+	got, err := wire.DecodeRegistry(data)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != orig.Name || got.Preset != orig.Preset {
-		t.Errorf("identity: got %q/%q, want %q/%q", got.Name, got.Preset, orig.Name, orig.Preset)
+	if len(got.Entries) != 1 || got.Entries[0].Name != "wire-test" || got.Preset != orig.Preset {
+		t.Fatalf("identity: got %v/%q, want [wire-test]/%q", got.Kernels(), got.Preset, orig.Preset)
 	}
 	if got.Params.Fingerprint() != ctx.Params.Fingerprint() {
 		t.Error("decoded parameters have a different fingerprint")
 	}
-	p, q := orig.Plan, got.Plan
+	p, q := orig.Entries[0].Plan, got.Entries[0].Plan
 	if len(q.Steps) != len(p.Steps) || q.NumRegs != p.NumRegs || q.Out != p.Out || q.VecLen != p.VecLen {
 		t.Fatalf("plan shape changed: %d steps / %d regs, want %d / %d", len(q.Steps), q.NumRegs, len(p.Steps), p.NumRegs)
 	}
@@ -101,16 +102,16 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 
 	// The decoded artifact must execute bit-identically in a sealed
-	// context (no secret key) fed only from the bundle.
-	sctx, sched, err := serve.Load(got, serve.Config{})
+	// context (no secret key) fed only from the registry.
+	cat, err := serve.LoadRegistry(got, serve.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sched.Close()
-	if sctx.CanDecrypt() {
+	defer cat.Close()
+	if cat.Ctx.CanDecrypt() {
 		t.Error("sealed context claims to hold the secret key")
 	}
-	ok, err := serve.SelfTest(sched, got)
+	ok, err := cat.SelfTest("wire-test")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,18 +120,18 @@ func TestBundleRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBundleFileRoundTrip(t *testing.T) {
-	_, orig, _ := exportTestBundle(t)
-	path := filepath.Join(t.TempDir(), "kernel.pplan")
+func TestOneKernelRegistryFileRoundTrip(t *testing.T) {
+	_, orig, _ := exportOneKernel(t)
+	path := filepath.Join(t.TempDir(), "kernel.pregistry")
 	if err := orig.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
-	got, err := wire.ReadBundleFile(path)
+	got, err := wire.ReadRegistryFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Name != orig.Name || len(got.Plan.Steps) != len(orig.Plan.Steps) {
-		t.Error("file round trip changed the bundle")
+	if len(got.Entries) != 1 || got.Entries[0].Name != "wire-test" || len(got.Entries[0].Plan.Steps) != len(orig.Entries[0].Plan.Steps) {
+		t.Error("file round trip changed the registry")
 	}
 }
 
@@ -142,14 +143,14 @@ func resign(data []byte) {
 }
 
 func TestDecodeRejectsCorruption(t *testing.T) {
-	_, _, data := exportTestBundle(t)
+	_, _, data := exportOneKernel(t)
 
 	check := func(t *testing.T, mutate func([]byte) []byte, want error) {
 		t.Helper()
 		d := mutate(append([]byte(nil), data...))
-		_, err := wire.DecodeBundle(d)
+		_, err := wire.DecodeRegistry(d)
 		if err == nil {
-			t.Fatal("corrupted bundle decoded successfully")
+			t.Fatal("corrupted registry decoded successfully")
 		}
 		if !errors.Is(err, want) {
 			t.Fatalf("got %v, want %v", err, want)
@@ -194,17 +195,18 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 	})
 }
 
-// TestOtherVersionsRefused: v7 is the one readable version. An
-// envelope of any earlier format (v1–v6, all retired) or of a future
+// TestOtherVersionsRefused: v8 is the one readable version. An
+// envelope of any earlier format (v1–v7, all retired) or of a future
 // one fails with ErrVersion, whatever object it holds — even with a
-// valid checksum over the restamped bytes.
+// valid checksum over the restamped bytes. An envelope tagged 1, the
+// retired single-plan bundle, fails every decoder with ErrTag.
 func TestOtherVersionsRefused(t *testing.T) {
-	ctx, b, bundle := exportTestBundle(t)
-	req, err := wire.EncodeRequest(ctx.Params, b.Sample)
+	ctx, one, _ := exportOneKernel(t)
+	req, err := wire.EncodeRequest(ctx.Params, one.Entries[0].Sample)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := wire.EncodeResponse(ctx.Params, b.Expected)
+	resp, err := wire.EncodeResponse(ctx.Params, one.Entries[0].Expected)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,7 +215,6 @@ func TestOtherVersionsRefused(t *testing.T) {
 		data   []byte
 		decode func([]byte) error
 	}{
-		"bundle":   {bundle, func(d []byte) error { _, err := wire.DecodeBundle(d); return err }},
 		"request":  {req, func(d []byte) error { _, err := wire.DecodeRequest(ctx.Params, d); return err }},
 		"response": {resp, func(d []byte) error { _, err := wire.DecodeResponse(ctx.Params, d); return err }},
 		"registry": {registry, func(d []byte) error { _, err := wire.DecodeRegistry(d); return err }},
@@ -235,6 +236,12 @@ func TestOtherVersionsRefused(t *testing.T) {
 			if err := c.decode(d); !errors.Is(err, wire.ErrVersion) {
 				t.Errorf("%s stamped version %d: got %v, want ErrVersion", name, v, err)
 			}
+		}
+		d := append([]byte(nil), c.data...)
+		d[5] = 1
+		resign(d)
+		if err := c.decode(d); !errors.Is(err, wire.ErrTag) {
+			t.Errorf("%s stamped with the retired bundle tag: got %v, want ErrTag", name, err)
 		}
 	}
 	// A checked-in fuzz reproducer of another version stops at the
@@ -271,12 +278,12 @@ func TestOtherVersionsRefused(t *testing.T) {
 // flips, resigned bit flips — through every decoder. Any outcome is
 // acceptable except a panic.
 func TestDecodeNeverPanics(t *testing.T) {
-	ctx, b, data := exportTestBundle(t)
-	reqData, err := wire.EncodeRequest(ctx.Params, b.Sample)
+	ctx, one, data := exportOneKernel(t)
+	reqData, err := wire.EncodeRequest(ctx.Params, one.Entries[0].Sample)
 	if err != nil {
 		t.Fatal(err)
 	}
-	respData, err := wire.EncodeResponse(ctx.Params, b.Expected)
+	respData, err := wire.EncodeResponse(ctx.Params, one.Entries[0].Expected)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,15 +303,16 @@ func TestDecodeNeverPanics(t *testing.T) {
 				resign(d)
 			}
 		}
-		wire.DecodeBundle(d)
+		wire.DecodeRegistry(d)
 		wire.DecodeRequest(ctx.Params, d)
 		wire.DecodeResponse(ctx.Params, d)
 	}
 }
 
 func TestRequestRoundTripAndFingerprintPinning(t *testing.T) {
-	ctx, b, _ := exportTestBundle(t)
-	data, err := wire.EncodeRequest(ctx.Params, b.Sample)
+	ctx, one, _ := exportOneKernel(t)
+	sample := one.Entries[0].Sample
+	data, err := wire.EncodeRequest(ctx.Params, sample)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -312,11 +320,11 @@ func TestRequestRoundTripAndFingerprintPinning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(req.CtIn) != len(b.Sample.CtIn) || len(req.PtIn) != len(b.Sample.PtIn) {
+	if len(req.CtIn) != len(sample.CtIn) || len(req.PtIn) != len(sample.PtIn) {
 		t.Fatalf("request shape changed: %d ct / %d pt", len(req.CtIn), len(req.PtIn))
 	}
 	for i := range req.CtIn {
-		if !ctx.Params.CiphertextEqual(req.CtIn[i], b.Sample.CtIn[i]) {
+		if !ctx.Params.CiphertextEqual(req.CtIn[i], sample.CtIn[i]) {
 			t.Fatalf("ciphertext input %d changed across the wire", i)
 		}
 	}

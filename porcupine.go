@@ -32,8 +32,8 @@
 // safe too (it borrows a pooled session per call); a Session driven
 // directly belongs to one goroutine.
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-versus-measured record of every table and figure.
+// See EXPERIMENTS.md for the paper-versus-measured record of every
+// table and figure.
 package porcupine
 
 import (
@@ -237,6 +237,10 @@ func NewRuntime(preset string, programs ...*Lowered) (*Runtime, error) {
 	return backend.NewRuntime(preset, programs...)
 }
 
+// PresetFor names the parameter preset deep enough for every given
+// program: PN8192 beyond multiplicative depth 2, PN4096 otherwise.
+func PresetFor(programs ...*Lowered) string { return backend.PresetFor(programs...) }
+
 // NewServingContext compiles execution plans for the given programs
 // and builds a shared Context holding exactly the Galois keys those
 // plans need. Workers then execute the plans concurrently, each
@@ -245,15 +249,10 @@ func NewServingContext(preset string, programs ...*Lowered) (*Context, []*Execut
 	return backend.NewServingContext(preset, programs...)
 }
 
-// Multi-process serving types: the wire artifact (Bundle), the batched
-// request scheduler (Scheduler), and the HTTP front-end (Front). See
-// internal/wire and internal/serve.
+// Serving types: the batched request scheduler (Scheduler) over one
+// shared Context, and the wire form of a request. See internal/serve
+// and internal/wire.
 type (
-	// Bundle is the exported serving artifact: one execution plan, its
-	// parameters, the public evaluation keys it declares, and an
-	// embedded self-test sample. Encode/Decode are versioned,
-	// checksummed and fingerprint-pinned.
-	Bundle = wire.Bundle
 	// WireRequest is one serving request (encrypted inputs + plaintext
 	// vectors) in its wire form.
 	WireRequest = wire.Request
@@ -268,43 +267,18 @@ type (
 	ServeResult = serve.Result
 	// ServeStats is a snapshot of scheduler counters.
 	ServeStats = serve.Stats
-	// Front is the HTTP front-end over a loaded bundle.
-	Front = serve.Front
 )
 
 // NewScheduler starts a batched request scheduler over a context.
 func NewScheduler(ctx *Context, cfg ServeConfig) *Scheduler { return serve.New(ctx, cfg) }
 
-// ExportBundle packages a compiled plan, the context's public
-// evaluation keys, and an optional self-test sample into a wire
-// bundle. The secret key never leaves the exporting process.
-func ExportBundle(ctx *Context, name string, p *ExecutionPlan, sample *WireRequest) (*Bundle, error) {
-	return serve.Export(ctx, name, p, sample)
-}
-
-// ReadBundleFile reads, checksums and validates an exported bundle.
-func ReadBundleFile(path string) (*Bundle, error) { return wire.ReadBundleFile(path) }
-
-// LoadBundle builds the serving half from a bundle: a sealed
-// execute-only context (no secret key) and a scheduler over it.
-func LoadBundle(b *Bundle, cfg ServeConfig) (*Context, *Scheduler, error) {
-	return serve.Load(b, cfg)
-}
-
-// BundleSelfTest executes the bundle's embedded sample and reports
-// whether the output is bit-identical to the exporter's expectation.
-func BundleSelfTest(s *Scheduler, b *Bundle) (bool, error) { return serve.SelfTest(s, b) }
-
-// NewHTTPFront builds the HTTP front-end (healthz/plan/stats/selftest/
-// run endpoints) over a scheduler and its bundle.
-func NewHTTPFront(s *Scheduler, b *Bundle) *Front { return serve.NewFront(s, b) }
-
-// Multi-kernel serving types: the wire registry artifact (one
-// manifest of named plans sharing a parameter set and one key-material
-// section), the catalog serving it from a single context, and its
-// HTTP front-end. See internal/wire and internal/serve.
+// Registry serving types: the wire registry artifact (one manifest of
+// named plans sharing a parameter set and one key-material section —
+// a single kernel is a registry of one), the catalog serving it from a
+// single context, and its HTTP front-end. See internal/wire and
+// internal/serve.
 type (
-	// Registry is the exported multi-kernel serving artifact.
+	// Registry is the exported serving artifact.
 	Registry = wire.Registry
 	// RegistryEntry is one named kernel of a registry manifest.
 	RegistryEntry = wire.RegistryEntry
@@ -333,6 +307,14 @@ func NewMuxServingContext(preset string, maxLanes int, programs ...*Lowered) (*C
 // when legal. The secret key never leaves the exporting process.
 func ExportRegistry(ctx *Context, names []string, plans []*ExecutionPlan, samples []*WireRequest) (*Registry, error) {
 	return serve.ExportRegistry(ctx, names, plans, samples)
+}
+
+// NewCatalog serves a registry from an existing context — the
+// exporting keyholder's own, for in-process serving. The context must
+// hold every plan's rotations and each mux geometry's pack/demux
+// rotations.
+func NewCatalog(ctx *Context, reg *Registry, cfg ServeConfig) (*Catalog, error) {
+	return serve.NewCatalog(ctx, reg, cfg)
 }
 
 // ReadRegistryFile reads, checksums and fully validates an exported
